@@ -29,12 +29,13 @@ import numpy as np
 
 from . import problems as prob_mod
 from .diagnostics import entropy_bits
-from .optimize import (HyperparamInputs, RunConfig, data_adaptive_hyperparams,
-                       run_sgd, run_sparse_spiderboost, run_spiderboost_dense,
+from .optimize import (HyperparamInputs, RunConfig, apply_hyperparams,
+                       data_adaptive_hyperparams, run_sgd,
+                       run_sparse_spiderboost, run_spiderboost_dense,
                        worst_case_hyperparams)
 from .problems import (LeastSquaresProblem, LogisticProblem,
                        MatrixFactorizationProblem, MLPProblem,
-                       estimate_constants)
+                       ProblemConstants, estimate_constants)
 
 log = logging.getLogger("sparsevr")
 
@@ -154,34 +155,28 @@ class ExperimentSpec:
         if values["opt.k2"] is None:
             values["opt.k2"] = max(1, round(0.05 * d))
         self.algorithms = values["opt.algorithm"]
-        self.seeds = values["run.seeds"]
-        self.mode = values["run.mode"]
-        self.out_dir = values["run.out"]
         self._validate()
+        self._check_run_config(None)
         self.fragments = self._resolve_rule()
+        for fragment in self.fragments.values():
+            self._check_run_config(fragment)
 
     def __getitem__(self, key):
         return self.values[key]
 
+    def _check_run_config(self, fragment):
+        """The RunConfig of every variance-reduced cell must be valid."""
+        try:
+            run_config(self.values, self.problem, 0, fragment).validate()
+        except ValueError as exc:
+            raise ConfigError(f"invalid opt.* values: {exc}") from exc
+
     def _validate(self):
+        """Checks that RunConfig.validate cannot make."""
         v = self.values
-        d, n = self.problem.d, self.problem.n
-        if v["opt.k1"] + v["opt.k2"] > d:
-            raise ConfigError(f"opt.k1 + opt.k2 = {v['opt.k1'] + v['opt.k2']} "
-                              f"exceeds problem dimension d={d}")
-        if v["opt.k1"] < 0 or v["opt.k2"] < 0:
-            raise ConfigError("opt.k1 and opt.k2 must be nonnegative")
-        if v["opt.k2"] == 0 and v["opt.k1"] != d:
-            raise ConfigError("opt.k2 = 0 is only valid when opt.k1 = d")
-        if v["opt.b"] > n:
-            raise ConfigError(f"opt.b = {v['opt.b']} exceeds n = {n}")
-        if v["opt.b"] > min(v["opt.B"], n):
-            raise ConfigError("opt.b must not exceed min(opt.B, n)")
-        if v["opt.eta"] <= 0:
-            raise ConfigError("opt.eta must be positive")
         if v["opt.rule"] != "none" and v["opt.epsilon"] is None:
             raise ConfigError("opt.epsilon is required when opt.rule is set")
-        if not self.seeds:
+        if not v["run.seeds"]:
             raise ConfigError("run.seeds must list at least one seed")
         if v["run.bins"] < 1:
             raise ConfigError("run.bins must be positive")
@@ -417,12 +412,31 @@ def build_aggregate(run_paths, bins: int) -> str:
     return buf.getvalue()
 
 
+def run_config(values: dict, problem, seed: int,
+               fragment: dict | None) -> RunConfig:
+    """The RunConfig of one variance-reduced cell, with a rule's (B, m, eta, T)
+    fragment spliced in when given.  It carries opt.k1/opt.k2, which the
+    dense baseline ignores."""
+    v = values
+    theory = v["run.mode"] == "theory"
+    cfg = RunConfig(
+        problem=problem, eta=v["opt.eta"], m=v["opt.m"], T=v["opt.T"],
+        B=v["opt.B"], b=v["opt.b"], alpha=v["opt.alpha"],
+        k1=v["opt.k1"], k2=v["opt.k2"],
+        inner_mode="geometric" if theory else "fixed",
+        output_mode="uniform" if theory else "last",
+        seed=seed, eta_end=v["opt.eta_end"],
+        record_grad_norm=v["run.record_grad_norm"],
+        record_capture=v["run.capture"],
+        target_grad_norm=v["run.target_grad_norm"])
+    return apply_hyperparams(cfg, fragment) if fragment else cfg
+
+
 def _execute_run(spec_values: dict, fragment: dict | None, algorithm: str,
                  seed: int):
     """Build the problem and run one (algorithm, seed) cell."""
     problem = build_problem(spec_values)
     v = spec_values
-    mode = v["run.mode"]
     if algorithm == "sgd":
         steps = v["opt.steps"] if v["opt.steps"] is not None else v["opt.m"] * v["opt.T"]
         _, record = run_sgd(v["opt.eta"], min(v["opt.b"], problem.n), steps,
@@ -430,32 +444,18 @@ def _execute_run(spec_values: dict, fragment: dict | None, algorithm: str,
                             record_grad_norm=v["run.record_grad_norm"],
                             target_grad_norm=v["run.target_grad_norm"])
         return record
-    cfg = RunConfig(
-        problem=problem, eta=v["opt.eta"], m=v["opt.m"], T=v["opt.T"],
-        B=v["opt.B"], b=v["opt.b"], alpha=v["opt.alpha"],
-        k1=v["opt.k1"] if algorithm == "sparse-spiderboost" else 0,
-        k2=v["opt.k2"] if algorithm == "sparse-spiderboost" else problem.d,
-        inner_mode="geometric" if mode == "theory" else "fixed",
-        output_mode="uniform" if mode == "theory" else "last",
-        seed=seed, eta_end=v["opt.eta_end"],
-        record_grad_norm=v["run.record_grad_norm"],
-        record_capture=v["run.capture"],
-        target_grad_norm=v["run.target_grad_norm"])
-    if fragment:
-        cfg.B, cfg.m, cfg.eta, cfg.T = (fragment["B"], fragment["m"],
-                                        fragment["eta"], fragment["T"])
-        cfg.b = min(cfg.b, cfg.B)
     runner = (run_sparse_spiderboost if algorithm == "sparse-spiderboost"
               else run_spiderboost_dense)
-    _, record = runner(cfg)
+    _, record = runner(run_config(v, problem, seed, fragment))
     return record
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run every (algorithm, seed) cell, write per-run CSVs and the
     aggregate.  Returns 0 iff all runs completed without divergence."""
-    os.makedirs(spec.out_dir, exist_ok=True)
-    cells = [(alg, seed) for alg in spec.algorithms for seed in spec.seeds]
+    out_dir = spec["run.out"]
+    os.makedirs(out_dir, exist_ok=True)
+    cells = [(alg, seed) for alg in spec.algorithms for seed in spec["run.seeds"]]
     jobs = min(spec["run.jobs"], len(cells))
     records = {}
     if jobs > 1:
@@ -477,7 +477,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     status = 0
     for alg, seed in cells:  # deterministic write order
         record = records[(alg, seed)]
-        path = os.path.join(spec.out_dir, f"{alg}_seed{seed}.csv")
+        path = os.path.join(out_dir, f"{alg}_seed{seed}.csv")
         _atomic_write(path, render_run_csv(record, timing))
         paths.append(path)
         log.info("wrote %s (%d rows%s)", path, len(record.rows),
@@ -485,7 +485,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
         if record.aborted:
             status = 1
     agg = build_aggregate(paths, spec["run.bins"])
-    _atomic_write(os.path.join(spec.out_dir, "aggregate.csv"), agg)
+    _atomic_write(os.path.join(out_dir, "aggregate.csv"), agg)
     return status
 
 
@@ -493,26 +493,17 @@ def generate_dataset(kind: str, params: dict, seed: int, path: str) -> None:
     """Write one synthetic dataset to `path` (deterministic given seed)."""
     if kind not in GEN_KINDS:
         raise ConfigError(f"unknown dataset kind {kind!r} (choices: {GEN_KINDS})")
-    if kind == "gaussian-ls":
-        a, b, _ = prob_mod.gen_gaussian_ls(
-            params["n"], params["d"], seed, signal_norm=params["signal"],
-            noise=params["noise"])
-        prob_mod.save_labeled_dataset(path, b, a)
-    elif kind == "planted-sparse-ls":
-        a, b, _ = prob_mod.gen_planted_ls(
-            params["n"], params["d"], params["s_active"], seed,
-            signal_norm=params["signal"], tau=params["tau"],
-            noise=params["noise"])
-        prob_mod.save_labeled_dataset(path, b, a)
-    elif kind == "logistic-blobs":
-        a, y = prob_mod.gen_logistic_blobs(params["n"], params["d"], seed,
-                                           params["separation"])
-        prob_mod.save_labeled_dataset(path, y, a)
+    values = {f"problem.{key}": val for key, val in params.items()}
+    values.update({"problem.kind": kind, "problem.seed": seed,
+                   "problem.ridge": 0.0})
+    problem = build_problem(values)
+    if isinstance(problem, MatrixFactorizationProblem):
+        prob_mod.save_ratings_dataset(path, problem.rows, problem.cols,
+                                      problem.vals)
+    elif isinstance(problem, LogisticProblem):
+        prob_mod.save_labeled_dataset(path, problem.y, problem.A)
     else:
-        rows, cols, vals, _, _ = prob_mod.gen_low_rank_ratings(
-            params["rows"], params["cols"], params["rank"], seed,
-            density=params["density"], noise=params["noise"])
-        prob_mod.save_ratings_dataset(path, rows, cols, vals)
+        prob_mod.save_labeled_dataset(path, problem.b, problem.A)
 
 
 # ---------------------------------------------------------------------------
@@ -772,15 +763,12 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         spec.values["run.seeds"] = [args.seed]
-        spec.seeds = [args.seed]
     if args.out is not None:
         spec.values["run.out"] = args.out
-        spec.out_dir = args.out
     if args.jobs is not None:
         spec.values["run.jobs"] = args.jobs
     if args.mode is not None:
         spec.values["run.mode"] = args.mode
-        spec.mode = args.mode
     return run_experiment(spec)
 
 
@@ -794,7 +782,9 @@ def _cmd_check(_args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    consts = ProblemConstantsShim(args.L, args.sigma2, args.delta_f)
+    consts = ProblemConstants(L=args.L, sigma2=args.sigma2,
+                              delta_f=args.delta_f, f_star=0.0,
+                              f_star_exact=False)
     inp = HyperparamInputs(epsilon=args.epsilon, constants=consts, b=args.b,
                            k1=args.k1, k2=args.k2, d=args.d, n=args.n)
     rules = (["worst-case", "data-adaptive"] if args.rule == "both"
@@ -806,12 +796,6 @@ def _cmd_hyper(args) -> int:
         print(f"{rule}: B={frag['B']} m={frag['m']} eta={frag['eta']:.6g} "
               f"T={frag['T']}")
     return 0
-
-
-def ProblemConstantsShim(L, sigma2, delta_f):
-    from .problems import ProblemConstants
-    return ProblemConstants(L=L, sigma2=sigma2, delta_f=delta_f,
-                            f_star=0.0, f_star_exact=False)
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ the top-k1 selection.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,43 +26,45 @@ class QueryMeter:
     """Exact rational accumulator of gradient-query units."""
 
     units: Fraction = Fraction(0)
-    events: list = field(default_factory=list)
+    # event tuple -> number of times it was charged; bounded by the number
+    # of distinct events, not the number of steps
+    events: Counter = field(default_factory=Counter)
 
     def charge_snapshot(self, batch: int, n: int) -> None:
         """Large-batch snapshot: min(batch, n) full per-sample gradients."""
         if batch < 1 or n < 1:
             raise ValueError("batch and n must be positive")
         self.units += Fraction(min(batch, n))
-        self.events.append(("snapshot", batch, n))
+        self.events[("snapshot", batch, n)] += 1
 
     def charge_inner(self, b: int, k: int, d: int) -> None:
         """One inner step: two size-b gradients restricted to k of d coords."""
         if b < 1 or k < 1 or d < 1:
             raise ValueError("event parameters must be positive")
         self.units += Fraction(2 * b * k, d)
-        self.events.append(("inner", b, k, d))
+        self.events[("inner", b, k, d)] += 1
 
     def charge_sgd(self, b: int) -> None:
         """One SGD step: a single size-b gradient."""
         if b < 1:
             raise ValueError("b must be positive")
         self.units += Fraction(b)
-        self.events.append(("sgd", b))
+        self.events[("sgd", b)] += 1
 
     def units_float(self) -> float:
         return float(self.units)
 
     def recomputed_units(self) -> Fraction:
-        """Re-derive the total from the event log (invariant check)."""
+        """Re-derive the total from the event counts (invariant check)."""
         total = Fraction(0)
-        for ev in self.events:
+        for ev, count in self.events.items():
             kind = ev[0]
             if kind == "snapshot":
-                total += Fraction(min(ev[1], ev[2]))
+                total += count * Fraction(min(ev[1], ev[2]))
             elif kind == "inner":
-                total += Fraction(2 * ev[1] * ev[2], ev[3])
+                total += count * Fraction(2 * ev[1] * ev[2], ev[3])
             elif kind == "sgd":
-                total += Fraction(ev[1])
+                total += count * Fraction(ev[1])
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
         return total

@@ -1,15 +1,17 @@
 """Sparse variance-reduced optimization: the main algorithm and baselines.
 
-The main loop keeps a variance-reduction direction nu, refreshed by a
+One SpiderBoost loop serves both the sparse method and the dense
+baseline.  It keeps a variance-reduction direction nu, refreshed by a
 size-B snapshot gradient at the top of every outer loop and corrected at
 every inner step by a sparsified small-batch gradient difference.  The
 sparsification support (top-k1 scored by the memory vector, plus k2
-random slots) is drawn before any gradient work, so both restricted
-gradient evaluations touch only the selected coordinates and the query
-meter charges 2*b*(k1+k2)/d per inner step.
+random slots, split across the problem's parameter blocks) is drawn
+before any gradient work, so both restricted gradient evaluations touch
+only the selected coordinates and the query meter charges 2*b*(k1+k2)/d
+per inner step.  The dense baseline is the same loop at k1+k2 = d, where
+every block is the identity and the step uses the dense batch gradient.
 
-Also here: the dense baseline (same loop with the operator replaced by
-the identity), plain batch SGD, the exponential-moving-average memory
+Also here: plain batch SGD, the exponential-moving-average memory
 update, and the two hyperparameter calculators.
 """
 
@@ -24,13 +26,16 @@ import numpy as np
 
 from .diagnostics import QueryMeter, entropy_bits, measure_g_G
 from .problems import FiniteSumProblem, ProblemConstants
-from .sampling import (STREAM_BATCH, STREAM_GEOM, STREAM_OPERATOR,
-                       STREAM_OUTPUT, GeomParams, RngStream, draw_geometric,
-                       sample_batch)
-from .sparsity import SparsityParams, build_update, draw_support
+from .sampling import (STREAM_BATCH, STREAM_CAPTURE, STREAM_GEOM,
+                       STREAM_OPERATOR, STREAM_OUTPUT, GeomParams, RngStream,
+                       draw_geometric, sample_batch)
+from .sparsity import SparsityParams, draw_support
 from .vecops import as_vector
 
 log = logging.getLogger("sparsevr")
+
+# A run aborts once its loss exceeds this multiple of max(|f(x0)|, 1).
+DIVERGENCE_FACTOR = 1e6
 
 
 def ema_update(memory: np.ndarray, nu: np.ndarray, alpha: float) -> np.ndarray:
@@ -63,7 +68,6 @@ class RunConfig:
     keep_iterates: bool = False
     debug_check_restricted: bool = False
     target_grad_norm: float | None = None
-    divergence_factor: float = 1e6
 
     def validate(self) -> None:
         d, n = self.problem.d, self.problem.n
@@ -209,8 +213,31 @@ def _guard_finite(x: np.ndarray) -> None:
         raise _Aborted("non-finite iterate")
 
 
-def _spider_loop(cfg: RunConfig, sparse: bool, algorithm: str):
-    """Shared outer/inner loop for the sparse and dense variants."""
+def _start(problem: FiniteSumProblem, x0):
+    """Starting iterate and the loss above which the run counts as diverged."""
+    x = np.zeros(problem.d) if x0 is None else as_vector(x0, problem.d).copy()
+    return x, DIVERGENCE_FACTOR * max(abs(problem.full_loss(x)), 1.0)
+
+
+def _check_loss(loss: float, ceiling: float, where: str) -> None:
+    if not math.isfinite(loss) or loss > ceiling:
+        raise _Aborted(f"divergence: loss {loss:.3e} at {where}")
+
+
+def _abort(record: RunRecord, ab: _Aborted) -> None:
+    record.aborted = True
+    record.abort_reason = ab.reason
+    log.warning("%s run (seed %d) aborted: %s", record.algorithm, record.seed,
+                ab.reason)
+
+
+def _spider_loop(cfg: RunConfig, algorithm: str):
+    """The SpiderBoost outer/inner loop with operator budget (k1, k2).
+
+    The operator is one (offset, SparsityParams) block per parameter block
+    of the problem, or a single (0, d) block.  At k1+k2 = d every block is
+    the identity and the inner step uses the dense batch gradient.
+    """
     cfg.validate()
     prob = cfg.problem
     n, d = prob.n, prob.d
@@ -220,25 +247,19 @@ def _spider_loop(cfg: RunConfig, sparse: bool, algorithm: str):
     geom_rng = RngStream(cfg.seed, STREAM_GEOM)
     op_rng = RngStream(cfg.seed, STREAM_OPERATOR)
     out_rng = RngStream(cfg.seed, STREAM_OUTPUT)
+    capture_rng = RngStream(cfg.seed, STREAM_CAPTURE)
 
-    x = np.zeros(d) if cfg.x0 is None else as_vector(cfg.x0, d).copy()
-    f0 = prob.full_loss(x)
-    loss_ceiling = cfg.divergence_factor * max(abs(f0), 1.0)
-
+    x, loss_ceiling = _start(prob, cfg.x0)
     record = RunRecord(algorithm=algorithm, seed=cfg.seed, n=n, d=d,
                        config_echo=_config_echo(cfg, algorithm))
     record.iterates = [] if cfg.keep_iterates else None
     meter = record.meter
 
-    blocks = None
-    global_params = None
-    if sparse:
-        global_params = SparsityParams(cfg.k1, cfg.k2, d)
-        ranges = prob.param_blocks()
-        if ranges is not None and len(ranges) > 1:
-            sizes = [hi - lo for lo, hi in ranges]
-            blocks = list(zip([lo for lo, _ in ranges],
-                              allocate_block_sparsity(cfg.k1, cfg.k2, sizes)))
+    k = cfg.k1 + cfg.k2
+    identity = k == d
+    ranges = prob.param_blocks() or [(0, d)]
+    blocks = list(zip([lo for lo, _ in ranges], allocate_block_sparsity(
+        cfg.k1, cfg.k2, [hi - lo for lo, hi in ranges])))
 
     geom = GeomParams(cfg.m) if cfg.inner_mode == "geometric" else None
     out_index = out_rng.integers(1, cfg.T + 1) if cfg.output_mode == "uniform" else None
@@ -249,7 +270,6 @@ def _spider_loop(cfg: RunConfig, sparse: bool, algorithm: str):
     i0 = sample_batch(n, snap, batch_rng)
     memory = np.abs(prob.grad_batch(i0, x))
 
-    k = cfg.k1 + cfg.k2
     try:
         for j in range(1, cfg.T + 1):
             tic = time.perf_counter()
@@ -264,47 +284,34 @@ def _spider_loop(cfg: RunConfig, sparse: bool, algorithm: str):
                 _guard_finite(x_new)
                 i_t = sample_batch(n, cfg.b, batch_rng)
 
-                if sparse:
-                    if blocks is None:
-                        supports = [(0, global_params,
-                                     *draw_support(memory, global_params, op_rng))]
-                    else:
-                        supports = []
-                        for lo, bp in blocks:
-                            topb, randb = draw_support(
-                                memory[lo:lo + bp.d], bp, op_rng)
-                            supports.append((lo, bp, topb, randb))
-                    joined = np.sort(np.concatenate(
-                        [np.concatenate([lo + top, lo + rand])
-                         for lo, _, top, rand in supports]))
-                    g_next = prob.grad_batch_restricted(i_t, x_new, joined)
-                    g_prev = prob.grad_batch_restricted(i_t, x, joined)
-                    diff = g_next - g_prev
+                if identity:
+                    nu += prob.grad_batch(i_t, x_new) - prob.grad_batch(i_t, x)
+                else:
+                    supports = [(lo, p, *draw_support(memory[lo:lo + p.d], p, op_rng))
+                                for lo, p in blocks]
+                    coords = np.concatenate([lo + part for lo, _, top, rand in supports
+                                             for part in (top, rand)])
+                    diff = (prob.grad_batch_restricted(i_t, x_new, coords)
+                            - prob.grad_batch_restricted(i_t, x, coords))
                     if cfg.debug_check_restricted:
                         dense_diff = (prob.grad_batch(i_t, x_new)
                                       - prob.grad_batch(i_t, x))
                         masked = np.zeros(d)
-                        masked[joined] = dense_diff[joined]
+                        masked[coords] = dense_diff[coords]
                         if not np.array_equal(masked, diff):
                             raise RuntimeError(
                                 "restricted-oracle update diverged from the "
                                 "dense masked update")
-                    nu = nu.copy()
-                    for lo, bp, top, rand in supports:
-                        upd = build_update(top, rand, bp, diff[lo:lo + bp.d])
-                        nu[lo + upd.indices] += upd.values
-                else:
-                    g_next = prob.grad_batch(i_t, x_new)
-                    g_prev = prob.grad_batch(i_t, x)
-                    nu = nu + (g_next - g_prev)
-                meter.charge_inner(cfg.b, k if sparse else d, d)
+                    for lo, p, top, rand in supports:
+                        nu[lo + top] += diff[lo + top]
+                        nu[lo + rand] += p.scale * diff[lo + rand]
+                meter.charge_inner(cfg.b, k, d)
 
                 memory = ema_update(memory, nu, cfg.alpha)
                 x = x_new
 
             loss = prob.full_loss(x)
-            if not math.isfinite(loss) or loss > loss_ceiling:
-                raise _Aborted(f"divergence: loss {loss:.3e} at outer loop {j}")
+            _check_loss(loss, loss_ceiling, f"outer loop {j}")
 
             grad_norm = None
             if cfg.record_grad_norm or cfg.target_grad_norm is not None:
@@ -315,7 +322,7 @@ def _spider_loop(cfg: RunConfig, sparse: bool, algorithm: str):
             if cfg.record_capture:
                 x_virtual = x - _inner_eta(cfg, n_j) * nu
                 cap = measure_g_G(prob, memory, x_virtual, x, cfg.k1, cfg.b,
-                                  rng=op_rng)
+                                  rng=capture_rng)
                 g_val, big_g_val, r_val = cap.g, cap.G, cap.R
 
             wall_ms = (time.perf_counter() - tic) * 1e3
@@ -332,9 +339,7 @@ def _spider_loop(cfg: RunConfig, sparse: bool, algorithm: str):
                     and grad_norm <= cfg.target_grad_norm):
                 break
     except _Aborted as ab:
-        record.aborted = True
-        record.abort_reason = ab.reason
-        log.warning("%s run (seed %d) aborted: %s", algorithm, cfg.seed, ab.reason)
+        _abort(record, ab)
 
     if (cfg.output_mode == "uniform" and x_stash is not None
             and not record.aborted and cfg.target_grad_norm is None):
@@ -353,21 +358,20 @@ def run_sparse_spiderboost(cfg: RunConfig):
     the memory vector.  Returns the last iterate, or a uniformly chosen
     outer-loop iterate in 'uniform' output mode.
     """
-    return _spider_loop(cfg, sparse=True, algorithm="sparse-spiderboost")
+    return _spider_loop(cfg, "sparse-spiderboost")
 
 
 def run_spiderboost_dense(cfg: RunConfig):
-    """Same loop with the identity in place of the sparsifier; inner steps
-    cost the full 2b units."""
-    return _spider_loop(cfg, sparse=False, algorithm="spiderboost")
+    """The same loop with the identity operator (k1=0, k2=d); the k1 and k2
+    of `cfg` are ignored.  Inner steps cost the full 2b units."""
+    return _spider_loop(replace(cfg, k1=0, k2=cfg.problem.d), "spiderboost")
 
 
 def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
             seed: int, x0: np.ndarray | None = None,
             eta_decay: float | None = None, record_every: int | None = None,
             record_grad_norm: bool = True,
-            target_grad_norm: float | None = None,
-            divergence_factor: float = 1e6):
+            target_grad_norm: float | None = None):
     """Plain batch SGD baseline; one size-b gradient (b cost units) per step.
 
     `eta_decay`, when set, multiplies the learning rate by that factor once
@@ -379,9 +383,7 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
     if b > n:
         raise ValueError("need b <= n")
     batch_rng = RngStream(seed, STREAM_BATCH)
-    x = np.zeros(d) if x0 is None else as_vector(x0, d).copy()
-    f0 = problem.full_loss(x)
-    loss_ceiling = divergence_factor * max(abs(f0), 1.0)
+    x, loss_ceiling = _start(problem, x0)
     record = RunRecord(algorithm="sgd", seed=seed, n=n, d=d,
                        config_echo={"algorithm": "sgd", "eta": eta, "b": b,
                                     "steps": steps, "seed": seed,
@@ -401,8 +403,7 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
             _guard_finite(x)
             if t % record_every == 0 or t == steps:
                 loss = problem.full_loss(x)
-                if not math.isfinite(loss) or loss > loss_ceiling:
-                    raise _Aborted(f"divergence: loss {loss:.3e} at step {t}")
+                _check_loss(loss, loss_ceiling, f"step {t}")
                 grad_norm = None
                 if record_grad_norm or target_grad_norm is not None:
                     grad_norm = float(np.linalg.norm(problem.full_grad(x)))
@@ -417,9 +418,7 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
                         and grad_norm <= target_grad_norm):
                     break
     except _Aborted as ab:
-        record.aborted = True
-        record.abort_reason = ab.reason
-        log.warning("sgd run (seed %d) aborted: %s", seed, ab.reason)
+        _abort(record, ab)
     return x, record
 
 
@@ -442,11 +441,6 @@ class HyperparamInputs:
             raise ValueError("b, d, n must be positive")
 
 
-def _check_k2(inp: HyperparamInputs) -> None:
-    if inp.k2 == 0 and inp.k1 < inp.d:
-        raise ValueError("k2=0 is only valid when k1=d")
-
-
 def _snapshot_size(raw: float, inp: HyperparamInputs) -> int:
     # ceil(raw ∧ n), then lifted to at least the small batch so the run
     # configuration stays valid (a larger snapshot only helps).
@@ -457,7 +451,7 @@ def worst_case_hyperparams(inp: HyperparamInputs) -> dict:
     """Parameter rule with guarantees independent of gradient structure:
     B = ceil(2*sigma^2/eps^2 ∧ n), m = ceil(B*d/(b*(k1+k2))),
     eta = sqrt(k2/(6*d*m))/L, T = ceil(4*delta_f/(eta*m*eps^2))."""
-    _check_k2(inp)
+    SparsityParams(inp.k1, inp.k2, inp.d)  # validates the sparsity budget
     c = inp.constants
     big_b = _snapshot_size(2.0 * c.sigma2 / inp.epsilon ** 2, inp)
     m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))
@@ -471,7 +465,7 @@ def data_adaptive_hyperparams(inp: HyperparamInputs) -> dict:
     the gradient-difference energy: B = ceil(3*sigma^2/eps^2 ∧ n),
     m = ceil(B*d/(b*(k1+k2))), eta = sqrt((b ∧ m)/(3m))/L,
     T = ceil(6*delta_f/(eta*m*eps^2))."""
-    _check_k2(inp)
+    SparsityParams(inp.k1, inp.k2, inp.d)  # validates the sparsity budget
     c = inp.constants
     big_b = _snapshot_size(3.0 * c.sigma2 / inp.epsilon ** 2, inp)
     m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))

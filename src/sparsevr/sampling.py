@@ -2,9 +2,9 @@
 
 All randomness in the package flows through `RngStream`, a counter-based
 (Philox) generator keyed by a (seed, stream id) pair.  Batch draws, the
-operator's random subset, inner-loop lengths, and the output-iterate draw
-each live on a dedicated stream so that replaying one kind of draw never
-perturbs another.
+operator's random subset, inner-loop lengths, the output-iterate draw and
+the capture probe's component subsample each live on a dedicated stream,
+so that replaying one kind of draw never perturbs another.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ STREAM_BATCH = 1
 STREAM_GEOM = 2
 STREAM_OPERATOR = 3
 STREAM_OUTPUT = 4
+STREAM_CAPTURE = 5
 
 
 class RngStream:

@@ -67,6 +67,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             parse_config(MINIMAL + "opt.rule = worst-case\n")
 
+    def test_rejects_zero_inner_loop_length(self):
+        with pytest.raises(ConfigError, match="m and T"):
+            parse_config(MINIMAL + "opt.m = 0\n")
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        with pytest.raises(ConfigError, match="alpha"):
+            parse_config(MINIMAL + "opt.alpha = 1.5\n")
+
     def test_comments_and_blanks_ignored(self):
         spec = parse_config("# a comment\n\n" + MINIMAL)
         assert spec.problem.n == 500
@@ -206,6 +214,18 @@ class TestMainEntrypoint:
         cfg.write_text("problem.kind = gaussian-ls\nproblem.n = 50\n"
                        "problem.d = 5\nopt.k1 = 9\nopt.k2 = 9\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_run_rejects_bad_opt_value_before_creating_output(self, tmp_path):
+        cfg = tmp_path / "bad.txt"
+        out = tmp_path / "never"
+        cfg.write_text(MINIMAL + "opt.alpha = 1.5\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_check_verb_passes(self, capsys):
+        assert main(["check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
 
     def test_run_unknown_preset(self):
         assert main(["run", "--preset", "nope"]) == 2

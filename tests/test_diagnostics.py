@@ -66,6 +66,13 @@ class TestQueryMeter:
         with pytest.raises(ValueError):
             meter_charge(m, ("bogus", 1))
 
+    def test_event_log_is_bounded_by_distinct_events(self):
+        m = QueryMeter()
+        for _ in range(10_000):
+            m.charge_inner(10, 3, 100)
+        assert len(m.events) == 1
+        assert m.units == m.recomputed_units() == Fraction(6000)
+
     def test_rejects_nonpositive_parameters(self):
         m = QueryMeter()
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
                                MatrixFactorizationProblem, MLPProblem,
                                ProblemConstants, gen_class_blobs,
                                gen_gaussian_ls, gen_logistic_blobs,
-                               gen_low_rank_ratings)
+                               gen_low_rank_ratings, gen_planted_ls)
 from sparsevr.sampling import RngStream, sample_batch
 from sparsevr.sparsity import SparsityParams, rtop
 from sparsevr.vecops import densify, norm2_sq
@@ -154,6 +154,19 @@ class TestDenseEquivalence:
             for xs, xd in zip(rec_sparse.iterates, rec_dense.iterates):
                 assert np.array_equal(xs, xd)
 
+    def test_dense_ignores_sparsity_budget(self):
+        a, y = gen_logistic_blobs(40, 8, seed=6)
+        prob = LogisticProblem(a, y, ridge=0.01)
+        base = dict(problem=prob, eta=0.4, m=6, T=5, B=16, b=4, seed=1,
+                    keep_iterates=True)
+        x_shared, rec_shared = run_spiderboost_dense(RunConfig(k1=2, k2=2, **base))
+        x_full, rec_full = run_spiderboost_dense(RunConfig(k1=0, k2=8, **base))
+        assert np.array_equal(x_shared, x_full)
+        for xs, xf in zip(rec_shared.iterates, rec_full.iterates):
+            assert np.array_equal(xs, xf)
+        # snapshot B plus 2b per inner step, whatever k1 and k2 say
+        assert rec_shared.meter.units == rec_full.meter.units == Fraction(5 * (16 + 2 * 4 * 6))
+
     def test_meters_differ_between_variants(self):
         a, y = gen_logistic_blobs(40, 8, seed=6)
         prob = LogisticProblem(a, y, ridge=0.01)
@@ -162,6 +175,23 @@ class TestDenseEquivalence:
         _, rec_dense = run_spiderboost_dense(RunConfig(k1=2, k2=2, **base))
         # dense pays 2b per inner step, sparse 2b*k/d
         assert rec_dense.meter.units > rec_sparse.meter.units
+
+
+class TestObservationDoesNotPerturb:
+    def test_capture_and_grad_norm_leave_iterates_unchanged(self):
+        # n > 10,000, so the capture probe subsamples components
+        a, b, _ = gen_planted_ls(10_050, 20, 3, seed=27)
+        prob = LeastSquaresProblem(a, b)
+        base = dict(problem=prob, eta=0.3, m=5, T=4, B=200, b=10, k1=2, k2=2,
+                    seed=5, keep_iterates=True)
+        _, quiet = run_sparse_spiderboost(RunConfig(
+            record_capture=False, record_grad_norm=False, **base))
+        _, observed = run_sparse_spiderboost(RunConfig(
+            record_capture=True, record_grad_norm=True, **base))
+        assert all(row.R is not None for row in observed.rows)
+        assert len(quiet.iterates) == len(observed.iterates) == 4
+        for xq, xo in zip(quiet.iterates, observed.iterates):
+            assert np.array_equal(xq, xo)
 
 
 class TestMeterIdentity:
