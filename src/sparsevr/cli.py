@@ -195,7 +195,7 @@ class ExperimentSpec:
             x_star, _ = ref
             probes.append(x_star)
             probes.append(x_star + 2.0 * (probes[0] - x_star))
-        consts = estimate_constants(self.problem, probes)
+        consts = estimate_constants(self.problem, probes, ref)
         calc = (worst_case_hyperparams if v["opt.rule"] == "worst-case"
                 else data_adaptive_hyperparams)
         for alg in self.algorithms:
@@ -212,6 +212,16 @@ class ExperimentSpec:
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and fully validate a key=value config; no partial results."""
+    try:
+        return ExperimentSpec(_read_values(text))
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(str(exc)) from exc
+
+
+def _read_values(text: str) -> dict:
+    """Parsed config values, defaults filled in; not yet validated."""
     values = {}
     seen = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -238,12 +248,7 @@ def parse_config(text: str) -> ExperimentSpec:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             values[key] = default
-    try:
-        return ExperimentSpec(values)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return values
 
 
 def build_problem(v: dict):
@@ -756,19 +761,15 @@ def _cmd_run(args) -> int:
     else:
         print("run needs --config PATH or --preset NAME", file=sys.stderr)
         return 2
-    try:
-        spec = parse_config(text)
-    except ConfigError as exc:
+    flags = {"run.seeds": None if args.seed is None else [args.seed],
+             "run.out": args.out, "run.jobs": args.jobs, "run.mode": args.mode}
+    try:  # the flags are validated like config lines
+        values = _read_values(text)
+        values.update((k, v) for k, v in flags.items() if v is not None)
+        spec = ExperimentSpec(values)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        spec.values["run.seeds"] = [args.seed]
-    if args.out is not None:
-        spec.values["run.out"] = args.out
-    if args.jobs is not None:
-        spec.values["run.jobs"] = args.jobs
-    if args.mode is not None:
-        spec.values["run.mode"] = args.mode
     return run_experiment(spec)
 
 

@@ -1,11 +1,12 @@
 """Finite-sum objectives f(x) = (1/n) sum_i f_i(x) with gradient oracles.
 
-Each problem exposes component losses, vectorized batch gradients,
-per-component gradient matrices, and a restricted-coordinate batch
-gradient.  The restricted oracle computes the dense batch gradient and
-masks it, so its values agree exactly with the dense path; the reduced
-k/d cost is accounted by the optimizer's query meter, which follows the
-cost model rather than wall-clock work.
+Each problem implements three kernels over a selection of components: the
+mean loss `loss_batch`, the mean gradient `grad_batch` and the per-component
+gradient matrix `grad_components`.  The base class derives component loss,
+full loss and full gradient from them; the full-data calls select with a
+slice, so they read the rows in place.  The restricted oracle masks the
+dense batch gradient, so it agrees exactly with the dense path; the reduced
+k/d cost is accounted by the optimizer's query meter, not in wall-clock work.
 
 Also here: closed-form or estimated problem constants (smoothness L,
 gradient second-moment bound sigma^2, initial suboptimality delta_f),
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import RngStream
 from .vecops import as_vector
 
 
@@ -34,30 +34,40 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("data contains NaN or Inf")
+
+
 class FiniteSumProblem(abc.ABC):
-    """Oracle interface shared by every objective in the package."""
+    """Oracle interface.  Subclasses implement the three abstract kernels;
+    `idx` is an index array or, for the two batch kernels, a slice."""
 
     n: int
     d: int
 
     @abc.abstractmethod
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        """Loss of component i at x."""
+    def loss_batch(self, idx, x: np.ndarray) -> float:
+        """Average loss over the components in idx."""
+
+    @abc.abstractmethod
+    def grad_batch(self, idx, x: np.ndarray) -> np.ndarray:
+        """Average gradient over the components in idx."""
 
     @abc.abstractmethod
     def grad_components(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """len(idx) x d matrix whose rows are the per-component gradients."""
 
-    @abc.abstractmethod
-    def grad_batch(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Average gradient over the components in idx."""
+    def component_loss(self, i: int, x: np.ndarray) -> float:
+        """Loss of component i at x."""
+        return self.loss_batch([i], x)
 
-    @abc.abstractmethod
     def full_loss(self, x: np.ndarray) -> float:
         """f(x), averaged over all components."""
+        return self.loss_batch(slice(None), x)
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.grad_batch(np.arange(self.n, dtype=np.int64), x)
+        return self.grad_batch(slice(None), x)
 
     def grad_batch_restricted(self, idx: np.ndarray, x: np.ndarray,
                               coords: np.ndarray) -> np.ndarray:
@@ -96,15 +106,14 @@ class LeastSquaresProblem(FiniteSumProblem):
             raise ValueError("b must have one entry per row of A")
         if ridge < 0:
             raise ValueError("ridge must be nonnegative")
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValueError("design contains NaN or Inf")
+        _require_finite(A, b)
         self.A, self.b, self.ridge = A, b, float(ridge)
         self.n, self.d = A.shape
 
-    def component_loss(self, i, x):
+    def loss_batch(self, idx, x):
         x = as_vector(x, self.d)
-        r = float(self.A[i] @ x - self.b[i])
-        return 0.5 * r * r + 0.5 * self.ridge * float(x @ x)
+        r = self.A[idx] @ x - self.b[idx]
+        return 0.5 * float(r @ r) / len(r) + 0.5 * self.ridge * float(x @ x)
 
     def grad_components(self, idx, x):
         x = as_vector(x, self.d)
@@ -116,12 +125,7 @@ class LeastSquaresProblem(FiniteSumProblem):
         x = as_vector(x, self.d)
         sub = self.A[idx]
         r = sub @ x - self.b[idx]
-        return sub.T @ r / len(idx) + self.ridge * x
-
-    def full_loss(self, x):
-        x = as_vector(x, self.d)
-        r = self.A @ x - self.b
-        return 0.5 * float(r @ r) / self.n + 0.5 * self.ridge * float(x @ x)
+        return sub.T @ r / len(r) + self.ridge * x
 
     def smoothness_hint(self):
         return float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
@@ -151,16 +155,17 @@ class LogisticProblem(FiniteSumProblem):
             raise ValueError("labels must be -1 or +1")
         if ridge < 0:
             raise ValueError("ridge must be nonnegative")
+        _require_finite(A)
         self.A, self.y, self.ridge = A, y, float(ridge)
         self.n, self.d = A.shape
 
     def _margins(self, idx, x):
         return self.y[idx] * (self.A[idx] @ x)
 
-    def component_loss(self, i, x):
+    def loss_batch(self, idx, x):
         x = as_vector(x, self.d)
-        z = float(self.y[i] * (self.A[i] @ x))
-        return float(np.logaddexp(0.0, -z)) + 0.5 * self.ridge * float(x @ x)
+        z = self._margins(idx, x)
+        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.ridge * float(x @ x)
 
     def grad_components(self, idx, x):
         x = as_vector(x, self.d)
@@ -172,24 +177,20 @@ class LogisticProblem(FiniteSumProblem):
         x = as_vector(x, self.d)
         z = self._margins(idx, x)
         w = -self.y[idx] * _sigmoid(-z)
-        return self.A[idx].T @ w / len(idx) + self.ridge * x
-
-    def full_loss(self, x):
-        x = as_vector(x, self.d)
-        z = self.y * (self.A @ x)
-        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.ridge * float(x @ x)
+        return self.A[idx].T @ w / len(w) + self.ridge * x
 
     def smoothness_hint(self):
         return 0.25 * float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
 
-    def reference_minimum(self, tol: float = 1e-10, max_iter: int = 200_000):
-        """Long full-gradient descent at step 1/L; None if tol is not reached."""
+    def reference_minimum(self):
+        """Full-gradient descent at step 1/L until the gradient norm is at
+        most 1e-10; None if 200,000 steps do not get there."""
         lip = self.smoothness_hint()
         x = np.zeros(self.d)
         step = 1.0 / lip
-        for _ in range(max_iter):
+        for _ in range(200_000):
             g = self.full_grad(x)
-            if float(np.linalg.norm(g)) <= tol:
+            if float(np.linalg.norm(g)) <= 1e-10:
                 return x, self.full_loss(x)
             x = x - step * g
         return None
@@ -218,6 +219,7 @@ class MLPProblem(FiniteSumProblem):
             raise ValueError("one integer label per sample")
         if labels.min() < 0 or labels.max() >= sizes[-1]:
             raise ValueError("labels out of range for the output layer")
+        _require_finite(X)
         self.sizes = sizes
         self.X, self.labels = X, labels
         self.n = X.shape[0]
@@ -259,7 +261,7 @@ class MLPProblem(FiniteSumProblem):
         acts = self._forward(params, self.X[idx])
         probs = np.exp(self._log_softmax(acts[-1]))
         delta = probs
-        delta[np.arange(len(idx)), self.labels[idx]] -= 1.0
+        delta[np.arange(len(delta)), self.labels[idx]] -= 1.0
         deltas = [None] * len(params)
         deltas[-1] = delta
         for li in range(len(params) - 2, -1, -1):
@@ -268,26 +270,19 @@ class MLPProblem(FiniteSumProblem):
             deltas[li] = (deltas[li + 1] @ w_next.T) * z * (1.0 - z)
         return acts, deltas
 
-    def component_loss(self, i, x):
+    def loss_batch(self, idx, x):
         x = as_vector(x, self.d)
         params = self._unpack(x)
-        acts = self._forward(params, self.X[i:i + 1])
+        acts = self._forward(params, self.X[idx])
         logp = self._log_softmax(acts[-1])
-        return float(-logp[0, self.labels[i]])
-
-    def full_loss(self, x):
-        x = as_vector(x, self.d)
-        params = self._unpack(x)
-        acts = self._forward(params, self.X)
-        logp = self._log_softmax(acts[-1])
-        return float(-np.mean(logp[np.arange(self.n), self.labels]))
+        return float(-np.mean(logp[np.arange(len(logp)), self.labels[idx]]))
 
     def grad_batch(self, idx, x):
         x = as_vector(x, self.d)
         params = self._unpack(x)
         acts, deltas = self._deltas(params, idx)
         out = np.zeros(self.d)
-        scale = 1.0 / len(idx)
+        scale = 1.0 / len(deltas[-1])
         for li, (w_lo, w_hi, b_lo, b_hi, nin, nout) in enumerate(self._layout):
             out[w_lo:w_hi] = (acts[li].T @ deltas[li]).ravel() * scale
             out[b_lo:b_hi] = deltas[li].sum(axis=0) * scale
@@ -330,6 +325,7 @@ class MatrixFactorizationProblem(FiniteSumProblem):
             raise ValueError("column index out of range")
         if ridge < 0:
             raise ValueError("ridge must be nonnegative")
+        _require_finite(vals)
         self.rows, self.cols, self.vals = rows, cols, vals
         self.n_rows, self.n_cols, self.rank = int(n_rows), int(n_cols), int(rank)
         self.ridge = float(ridge)
@@ -348,51 +344,39 @@ class MatrixFactorizationProblem(FiniteSumProblem):
         qc = self.n_rows * r + v[:, None] * r + np.arange(r)[None, :]
         return pc, qc
 
-    def component_loss(self, i, x):
-        x = as_vector(x, self.d)
-        p, q = self._factors(x)
-        u, v = self.rows[i], self.cols[i]
-        e = float(p[u] @ q[v] - self.vals[i])
-        reg = 0.5 * self.ridge * (float(p[u] @ p[u]) + float(q[v] @ q[v]))
-        return 0.5 * e * e + reg
-
-    def grad_components(self, idx, x):
-        x = as_vector(x, self.d)
+    def _component_grads(self, idx, x):
+        """Coordinates (pc, qc) and values (gp, gq) of each component gradient."""
         p, q = self._factors(x)
         u, v = self.rows[idx], self.cols[idx]
         pu, qv = p[u], q[v]
         e = np.sum(pu * qv, axis=1) - self.vals[idx]
         gp = e[:, None] * qv + self.ridge * pu
         gq = e[:, None] * pu + self.ridge * qv
-        out = np.zeros((len(idx), self.d))
-        rowsel = np.arange(len(idx))[:, None]
-        pc, qc = self._coords(u, v)
+        return (*self._coords(u, v), gp, gq)
+
+    def loss_batch(self, idx, x):
+        x = as_vector(x, self.d)
+        p, q = self._factors(x)
+        pu, qv = p[self.rows[idx]], q[self.cols[idx]]
+        e = np.sum(pu * qv, axis=1) - self.vals[idx]
+        reg = 0.5 * self.ridge * (np.sum(pu * pu, axis=1) + np.sum(qv * qv, axis=1))
+        return float(np.mean(0.5 * e * e + reg))
+
+    def grad_components(self, idx, x):
+        pc, qc, gp, gq = self._component_grads(idx, as_vector(x, self.d))
+        out = np.zeros((len(gp), self.d))
+        rowsel = np.arange(len(gp))[:, None]
         out[rowsel, pc] = gp
         out[rowsel, qc] = gq
         return out
 
     def grad_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        p, q = self._factors(x)
-        u, v = self.rows[idx], self.cols[idx]
-        pu, qv = p[u], q[v]
-        e = np.sum(pu * qv, axis=1) - self.vals[idx]
-        gp = e[:, None] * qv + self.ridge * pu
-        gq = e[:, None] * pu + self.ridge * qv
+        pc, qc, gp, gq = self._component_grads(idx, as_vector(x, self.d))
         out = np.zeros(self.d)
-        pc, qc = self._coords(u, v)
         # duplicate (u, v) rows in a batch must accumulate
         np.add.at(out, pc.ravel(), gp.ravel())
         np.add.at(out, qc.ravel(), gq.ravel())
-        return out / len(idx)
-
-    def full_loss(self, x):
-        x = as_vector(x, self.d)
-        p, q = self._factors(x)
-        pu, qv = p[self.rows], q[self.cols]
-        e = np.sum(pu * qv, axis=1) - self.vals
-        reg = 0.5 * self.ridge * (np.sum(pu * pu, axis=1) + np.sum(qv * qv, axis=1))
-        return float(np.mean(0.5 * e * e + reg))
+        return out / len(gp)
 
 
 @dataclass(frozen=True)
@@ -427,8 +411,11 @@ def _power_iteration_lipschitz(problem, x, iters: int = 40, h: float = 1e-5,
     return lam
 
 
+_SOLVE = object()
+
+
 def estimate_constants(problem: FiniteSumProblem, probe_points,
-                       rng: RngStream | None = None) -> ProblemConstants:
+                       reference=_SOLVE) -> ProblemConstants:
     """Estimate (L, sigma^2, delta_f) from probe points.
 
     sigma^2 is the max over probes of the mean squared per-component
@@ -438,6 +425,7 @@ def estimate_constants(problem: FiniteSumProblem, probe_points,
     finite-difference power iteration at the probes.  delta_f measures
     f(first probe) - f*, with f* from the direct reference solve when
     available and the best probed value (flagged inexact) otherwise.
+    `reference` is problem.reference_minimum()'s result if already solved.
     """
     probes = [as_vector(p, problem.d) for p in probe_points]
     if not probes:
@@ -459,7 +447,7 @@ def estimate_constants(problem: FiniteSumProblem, probe_points,
     if lip <= 0:
         lip = 1.0
 
-    ref = problem.reference_minimum()
+    ref = problem.reference_minimum() if reference is _SOLVE else reference
     if ref is not None:
         _, f_star = ref
         exact = True
@@ -478,12 +466,12 @@ def estimate_constants(problem: FiniteSumProblem, probe_points,
 
 def gen_planted_ls(n: int, d: int, s_active: int, seed: int,
                    signal_norm: float = 1.0, tau: float = 0.1,
-                   noise: float = 0.05, normalize_rows: bool = True):
+                   noise: float = 0.05):
     """Planted sparse least squares: s_active large-scale columns carry the
     signal, the rest are scaled by tau.  Returns (A, b, x_true).
 
-    Rows are unit-normalized by default so the component smoothness
-    constant is exactly 1.  tau=1 with s_active=d gives the isotropic
+    Rows are unit-normalized so the component smoothness constant is
+    exactly 1.  tau=1 with s_active=d gives the isotropic
     (non-sparse) control of equal scale.
     """
     if not 1 <= s_active <= d:
@@ -494,8 +482,7 @@ def gen_planted_ls(n: int, d: int, s_active: int, seed: int,
     scales = np.full(d, tau)
     scales[active] = 1.0
     a = rng.standard_normal((n, d)) * scales[None, :]
-    if normalize_rows:
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
     x_true = np.zeros(d)
     coeff = rng.standard_normal(s_active)
     coeff *= signal_norm / np.linalg.norm(coeff)
@@ -505,10 +492,10 @@ def gen_planted_ls(n: int, d: int, s_active: int, seed: int,
 
 
 def gen_gaussian_ls(n: int, d: int, seed: int, signal_norm: float = 1.0,
-                    noise: float = 0.05, normalize_rows: bool = True):
+                    noise: float = 0.05):
     """Dense Gaussian least squares (all columns equal scale)."""
     return gen_planted_ls(n, d, s_active=d, seed=seed, signal_norm=signal_norm,
-                          tau=1.0, noise=noise, normalize_rows=normalize_rows)
+                          tau=1.0, noise=noise)
 
 
 def gen_logistic_blobs(n: int, d: int, seed: int, separation: float = 2.0):

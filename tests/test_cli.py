@@ -5,7 +5,9 @@ import pytest
 
 from sparsevr.cli import (PRESETS, ConfigError, build_aggregate, build_problem,
                           generate_dataset, main, parse_config, run_experiment)
-from sparsevr.problems import load_labeled_dataset
+from sparsevr.optimize import run_sgd
+from sparsevr.problems import (LeastSquaresProblem, gen_low_rank_ratings,
+                               load_labeled_dataset)
 
 MINIMAL = """
 problem.kind = gaussian-ls
@@ -87,6 +89,21 @@ class TestParseConfig:
         assert set(frag) == {"B", "m", "eta", "T"}
         assert frag["B"] >= 10
 
+    def test_rule_solves_reference_once(self, monkeypatch):
+        calls = []
+        solve = LeastSquaresProblem.reference_minimum
+
+        def counted(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(LeastSquaresProblem, "reference_minimum", counted)
+        spec = parse_config(MINIMAL + "opt.rule = data-adaptive\n"
+                                      "opt.epsilon = 0.5\n"
+                                      "opt.b = 10\n")
+        assert len(calls) == 1
+        assert spec.fragments["sparse-spiderboost"]["B"] >= 10
+
     def test_all_presets_parse(self):
         for name, text in PRESETS.items():
             spec = parse_config(text)
@@ -107,6 +124,23 @@ class TestBuildProblem:
                             "opt.b = 10\nopt.B = 50\n")
         assert spec.problem.n == 50
         assert spec.problem.d == 8
+
+    def test_ratings_file_round_trip(self, tmp_path):
+        # The loader takes the matrix shape from the largest indices present;
+        # at this density every row and column of the 9 x 7 matrix is rated.
+        path = tmp_path / "ratings.txt"
+        assert main(["gen", "--kind", "low-rank-ratings", "--rows", "9",
+                     "--cols", "7", "--rank", "2", "--density", "0.5",
+                     "--noise", "0.0", "--seed", "5", "--out", str(path)]) == 0
+        spec = parse_config(f"problem.kind = ratings-file\nproblem.path = {path}\n"
+                            "problem.rank = 2\nopt.b = 4\nopt.B = 20\n")
+        rows, cols, vals, _, _ = gen_low_rank_ratings(9, 7, 2, seed=5,
+                                                      density=0.5, noise=0.0)
+        problem = spec.problem
+        assert (problem.n_rows, problem.n_cols, problem.rank) == (9, 7, 2)
+        assert np.array_equal(problem.rows, rows)
+        assert np.array_equal(problem.cols, cols)
+        assert np.array_equal(problem.vals, vals)
 
 
 class TestGenerateDataset:
@@ -221,6 +255,29 @@ class TestMainEntrypoint:
         cfg.write_text(MINIMAL + "opt.alpha = 1.5\n")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_run_flag_is_validated_before_creating_output(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "never"
+        cfg.write_text(SMALL_RUN)
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "0"]) == 2
+        assert not out.exists()
+
+    def test_sgd_steps_and_decay(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "sgd"
+        text = (SMALL_RUN.replace("sparse-spiderboost,spiderboost", "sgd")
+                .replace("1,2,3", "2") + "opt.steps = 40\nopt.eta_decay = 0.5\n")
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        spec = parse_config(text)
+        _, record = run_sgd(0.3, 8, 40, spec.problem, 2, eta_decay=0.5)
+        csv_text = (out / "sgd_seed2.csv").read_text()
+        assert "# steps = 40" in csv_text and "# eta_decay = 0.5" in csv_text
+        body = [ln.split(",") for ln in csv_text.splitlines()
+                if not ln.startswith("#")][1:]
+        assert [float(row[3]) for row in body] == [r.loss for r in record.rows]
 
     def test_check_verb_passes(self, capsys):
         assert main(["check"]) == 0

@@ -243,6 +243,44 @@ class TestOracleConsistency:
         mean = np.mean([problem.component_loss(i, x) for i in range(problem.n)])
         assert abs(problem.full_loss(x) - mean) <= 1e-10
 
+    @pytest.mark.parametrize("problem", all_desk_problems(),
+                             ids=lambda p: type(p).__name__)
+    def test_full_data_oracles_equal_batch_over_all_rows(self, problem):
+        rng = np.random.default_rng(45)
+        x = 0.5 * rng.standard_normal(problem.d)
+        every = np.arange(problem.n)
+        assert np.array_equal(problem.full_grad(x), problem.grad_batch(every, x))
+        assert problem.full_loss(x) == problem.loss_batch(every, x)
+
+    @pytest.mark.parametrize("problem", all_desk_problems(),
+                             ids=lambda p: type(p).__name__)
+    def test_negative_component_index(self, problem):
+        x = 0.5 * np.random.default_rng(46).standard_normal(problem.d)
+        assert (problem.component_loss(-1, x)
+                == problem.component_loss(problem.n - 1, x))
+
+
+class TestRejectsNonFiniteData:
+    def test_least_squares(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            LeastSquaresProblem(np.eye(2), np.array([0.0, np.inf]))
+
+    def test_logistic(self):
+        a = np.eye(2)
+        a[1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            LogisticProblem(a, np.array([1.0, -1.0]))
+
+    def test_mlp(self):
+        xs = np.zeros((4, 3))
+        xs[2, 1] = -np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            MLPProblem([3, 2, 2], xs, np.zeros(4, dtype=int))
+
+    def test_matrix_factorization(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            MatrixFactorizationProblem([0, 1], [1, 0], [0.5, np.nan], 2, 2, 1)
+
 
 class TestBatchMeanVarianceBound:
     def test_enumerated_variance_below_population_bound(self):
