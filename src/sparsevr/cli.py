@@ -3,7 +3,8 @@
 Verbs:
   gen    write a synthetic dataset to a text file
   run    execute an experiment described by a key=value config (or preset)
-  check  run the built-in invariant/oracle suite
+  check  run the exactness criteria 01-05 and 08-10 of sparsevr.checks,
+         one PASS/FAIL line each
   hyper  print the calculator output for given accuracy and constants
 
 Configs are flat `section.key = value` lines; unknown or duplicate keys
@@ -27,8 +28,8 @@ import tempfile
 
 import numpy as np
 
+from . import checks
 from . import problems as prob_mod
-from .diagnostics import entropy_bits
 from .optimize import (HyperparamInputs, RunConfig, apply_hyperparams,
                        data_adaptive_hyperparams, run_sgd,
                        run_sparse_spiderboost, run_spiderboost_dense,
@@ -156,15 +157,15 @@ class ExperimentSpec:
             values["opt.k2"] = max(1, round(0.05 * d))
         self.algorithms = values["opt.algorithm"]
         self._validate()
-        self._check_run_config(None)
+        self._validate_run_config(None)
         self.fragments = self._resolve_rule()
         for fragment in self.fragments.values():
-            self._check_run_config(fragment)
+            self._validate_run_config(fragment)
 
     def __getitem__(self, key):
         return self.values[key]
 
-    def _check_run_config(self, fragment):
+    def _validate_run_config(self, fragment):
         """The RunConfig of every variance-reduced cell must be valid."""
         try:
             run_config(self.values, self.problem, 0, fragment).validate()
@@ -301,11 +302,9 @@ def build_problem(v: dict):
         return LogisticProblem(feats, labels, ridge)
     if kind == "ratings-file":
         need("problem.path")
-        rows, cols, vals = prob_mod.load_ratings_dataset(v["problem.path"])
-        return MatrixFactorizationProblem(rows, cols, vals,
-                                          int(rows.max()) + 1,
-                                          int(cols.max()) + 1,
-                                          v["problem.rank"], ridge)
+        return MatrixFactorizationProblem(
+            *prob_mod.load_ratings_dataset(v["problem.path"]),
+            v["problem.rank"], ridge)
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
@@ -437,11 +436,9 @@ def run_config(values: dict, problem, seed: int,
     return apply_hyperparams(cfg, fragment) if fragment else cfg
 
 
-def _execute_run(spec_values: dict, fragment: dict | None, algorithm: str,
+def _execute_run(problem, v: dict, fragment: dict | None, algorithm: str,
                  seed: int):
-    """Build the problem and run one (algorithm, seed) cell."""
-    problem = build_problem(spec_values)
-    v = spec_values
+    """Run one (algorithm, seed) cell on the experiment's problem."""
     if algorithm == "sgd":
         steps = v["opt.steps"] if v["opt.steps"] is not None else v["opt.m"] * v["opt.T"]
         _, record = run_sgd(v["opt.eta"], min(v["opt.b"], problem.n), steps,
@@ -455,6 +452,20 @@ def _execute_run(spec_values: dict, fragment: dict | None, algorithm: str,
     return record
 
 
+# The experiment's problem in a pool worker process, set once by _init_worker.
+_worker_problem = None
+
+
+def _init_worker(problem) -> None:
+    global _worker_problem
+    _worker_problem = problem
+
+
+def _execute_worker_run(v: dict, fragment: dict | None, algorithm: str,
+                        seed: int):
+    return _execute_run(_worker_problem, v, fragment, algorithm, seed)
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run every (algorithm, seed) cell, write per-run CSVs and the
     aggregate.  Returns 0 iff all runs completed without divergence."""
@@ -464,16 +475,18 @@ def run_experiment(spec: ExperimentSpec) -> int:
     jobs = min(spec["run.jobs"], len(cells))
     records = {}
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_init_worker,
+                initargs=(spec.problem,)) as pool:
             futures = {
-                pool.submit(_execute_run, spec.values,
+                pool.submit(_execute_worker_run, spec.values,
                             spec.fragments.get(alg), alg, seed): (alg, seed)
                 for alg, seed in cells}
             for fut in concurrent.futures.as_completed(futures):
                 records[futures[fut]] = fut.result()
     else:
         for alg, seed in cells:
-            records[(alg, seed)] = _execute_run(spec.values,
+            records[(alg, seed)] = _execute_run(spec.problem, spec.values,
                                                 spec.fragments.get(alg),
                                                 alg, seed)
 
@@ -504,7 +517,8 @@ def generate_dataset(kind: str, params: dict, seed: int, path: str) -> None:
     problem = build_problem(values)
     if isinstance(problem, MatrixFactorizationProblem):
         prob_mod.save_ratings_dataset(path, problem.rows, problem.cols,
-                                      problem.vals)
+                                      problem.vals, problem.n_rows,
+                                      problem.n_cols)
     elif isinstance(problem, LogisticProblem):
         prob_mod.save_labeled_dataset(path, problem.y, problem.A)
     else:
@@ -600,135 +614,6 @@ run.out = runs-mf
 
 
 # ---------------------------------------------------------------------------
-# Built-in invariant/oracle suite (the `check` verb)
-# ---------------------------------------------------------------------------
-
-def _check_operator():
-    from .sparsity import SparsityParams, rtop_enumerate, top_neg_k1
-    from .vecops import norm2_sq
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        d = int(rng.integers(2, 10))
-        k1 = int(rng.integers(0, d))
-        k2 = int(rng.integers(1, d - k1 + 1))
-        score = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        p = SparsityParams(k1, k2, d)
-        mean, var = rtop_enumerate(score, y, p)
-        if not np.allclose(mean, y, atol=1e-12):
-            return False, "enumerated mean deviated from y"
-        expect = (d - k1 - k2) / k2 * norm2_sq(top_neg_k1(score, y, k1))
-        if abs(var - expect) > 1e-9 * max(expect, 1e-12):
-            return False, "enumerated variance deviated from closed form"
-    return True, "25 random instances"
-
-
-def _check_worked_example():
-    from .sparsity import SparsityParams, build_update, rtop_enumerate
-    from .vecops import densify
-    score = np.array([11.0, 12.0, 13.0, -14.0, -15.0])
-    y = np.array([-25.0, -24.0, 13.0, 12.0, 11.0])
-    p = SparsityParams(1, 1, 5)
-    upd = build_update(np.array([4]), np.array([1]), p, y)
-    dense = densify(upd)
-    if not np.array_equal(dense, np.array([0.0, -96.0, 0.0, 0.0, 11.0])):
-        return False, f"got {dense}"
-    _, var = rtop_enumerate(score, y, p)
-    if var != 4542.0:
-        return False, f"variance {var} != 4542"
-    return True, "(0, -96, 0, 0, 11), variance 4542"
-
-
-def _check_entropy_pin():
-    h = entropy_bits(np.ones(308310))
-    ok = abs(h - 18.234) <= 1e-3
-    return ok, f"uniform d=308310 -> {h:.4f} bits"
-
-
-def _check_geom_lemma():
-    from .sampling import RngStream, check_geom_lemma
-    lhs, rhs = check_geom_lemma(3.0, lambda t: t.astype(float) ** 2,
-                                200_000, RngStream(11, 5))
-    analytic = -(2 * 3.0 + 1)
-    ok = (abs(lhs - analytic) <= 0.08 * abs(analytic)
-          and abs(rhs - analytic) <= 0.08 * abs(analytic))
-    return ok, f"lhs={lhs:.3f} rhs={rhs:.3f} analytic={analytic}"
-
-
-def _fd_grad(problem, x, h=1e-6):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (problem.full_loss(x + e) - problem.full_loss(x - e)) / (2 * h)
-    return g
-
-
-def _check_gradients():
-    rng = np.random.default_rng(3)
-    a, b, _ = prob_mod.gen_gaussian_ls(12, 5, seed=1)
-    ls = LeastSquaresProblem(a, b, ridge=0.01)
-    al, yl = prob_mod.gen_logistic_blobs(12, 5, seed=2)
-    lo = LogisticProblem(al, yl, ridge=0.01)
-    xs, labs = prob_mod.gen_class_blobs(8, 4, 2, seed=3)
-    mlp = MLPProblem([4, 3, 2], xs, labs)
-    rows, cols, vals, _, _ = prob_mod.gen_low_rank_ratings(5, 4, 2, seed=4)
-    mf = MatrixFactorizationProblem(rows, cols, vals, 5, 4, 2, ridge=0.01)
-    for problem, tol in ((ls, 1e-6), (lo, 1e-6), (mlp, 1e-4), (mf, 1e-5)):
-        x = 0.5 * rng.standard_normal(problem.d)
-        err = np.max(np.abs(problem.full_grad(x) - _fd_grad(problem, x)))
-        if err > tol:
-            return False, f"{type(problem).__name__}: fd error {err:.2e} > {tol}"
-    return True, "all four problem kinds vs central differences"
-
-
-def _check_meter_identity():
-    from fractions import Fraction
-    a, b, _ = prob_mod.gen_gaussian_ls(40, 8, seed=5)
-    problem = LeastSquaresProblem(a, b)
-    cfg = RunConfig(problem=problem, eta=0.05, m=4, T=6, B=16, b=4,
-                    alpha=0.5, k1=2, k2=2, inner_mode="geometric", seed=9)
-    _, record = run_sparse_spiderboost(cfg)
-    expect = sum((Fraction(min(cfg.B, problem.n))
-                  + Fraction(2 * cfg.b * (cfg.k1 + cfg.k2), problem.d) * nj
-                  for nj in record.inner_lengths()), Fraction(0))
-    ok = record.meter.units == expect
-    return ok, f"{record.meter.units} vs {expect}"
-
-
-def _check_dense_equivalence():
-    a, y = prob_mod.gen_logistic_blobs(30, 6, seed=6)
-    problem = LogisticProblem(a, y, ridge=0.01)
-    base = dict(problem=problem, eta=0.3, m=5, T=4, B=12, b=4, alpha=0.5,
-                seed=13, keep_iterates=True)
-    _, sparse = run_sparse_spiderboost(RunConfig(k1=3, k2=3, **base))
-    _, dense = run_spiderboost_dense(RunConfig(k1=0, k2=6, **base))
-    ok = all(np.array_equal(xs, xd)
-             for xs, xd in zip(sparse.iterates, dense.iterates))
-    return ok, "k1+k2=d run matches the dense baseline iterate-for-iterate"
-
-
-def run_self_checks() -> list:
-    checks = [
-        ("operator-exactness", _check_operator),
-        ("worked-example", _check_worked_example),
-        ("entropy-pin", _check_entropy_pin),
-        ("geometrization-lemma", _check_geom_lemma),
-        ("gradient-fd", _check_gradients),
-        ("meter-identity", _check_meter_identity),
-        ("dense-equivalence", _check_dense_equivalence),
-    ]
-    results = []
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crash is a failure, not an error
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-    return results
-
-
-# ---------------------------------------------------------------------------
 # argparse wiring
 # ---------------------------------------------------------------------------
 
@@ -774,11 +659,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(_args) -> int:
-    results = run_self_checks()
     failed = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += 0 if ok else 1
+    for criterion in checks.CRITERIA:
+        try:
+            status, detail = "PASS", criterion()
+        except Exception as exc:  # a crash is a failure, not an error
+            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+            failed += 1
+        print(f"{status} {criterion.__name__}: {detail}")
     return 1 if failed else 0
 
 
@@ -831,7 +719,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--mode", choices=("theory", "impl"))
     p_run.set_defaults(func=_cmd_run)
 
-    p_check = sub.add_parser("check", help="run the invariant/oracle suite")
+    p_check = sub.add_parser("check", help="run the exactness criteria "
+                                           "01-05 and 08-10 of sparsevr.checks")
     p_check.set_defaults(func=_cmd_check)
 
     p_hyper = sub.add_parser("hyper", help="print calculator output")

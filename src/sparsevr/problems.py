@@ -576,20 +576,29 @@ def load_labeled_dataset(path):
     return np.array(labels), np.array(rows)
 
 
-def save_ratings_dataset(path, rows, cols, vals):
-    """Write 'rating u v' lines (rating first, per the labeled format)."""
+def save_ratings_dataset(path, rows, cols, vals, n_rows, n_cols):
+    """Write a '# shape R C' line, then 'rating u v' lines (rating first,
+    per the labeled format)."""
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# shape %d %d\n" % (n_rows, n_cols))
         for r, u, v in zip(vals, rows, cols):
             fh.write("%.17g %d %d\n" % (r, u, v))
 
 
 def load_ratings_dataset(path):
-    """Read (rows, cols, vals) from 'rating u v' lines."""
+    """Read (rows, cols, vals, R, C) from 'rating u v' lines.  R x C is the
+    shape on a leading '# shape R C' line, else the largest indices + 1."""
     rows, cols, vals = [], [], []
+    shape = None
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
+                continue
+            if ln == 1 and parts[0] == "#":
+                if len(parts) != 4 or parts[1] != "shape":
+                    raise ValueError(f"{path}:1: expected '# shape R C'")
+                shape = (int(parts[2]), int(parts[3]))
                 continue
             if len(parts) != 3:
                 raise ValueError(f"{path}:{ln}: expected 'rating u v'")
@@ -602,5 +611,9 @@ def load_ratings_dataset(path):
             cols.append(cols_v)
     if not vals:
         raise ValueError(f"{path}: empty dataset")
+    seen = (max(rows) + 1, max(cols) + 1)
+    shape = shape or seen
+    if seen[0] > shape[0] or seen[1] > shape[1]:
+        raise ValueError(f"{path}: an index exceeds the header shape {shape}")
     return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(vals))
+            np.array(vals), *shape)

@@ -1,15 +1,6 @@
 import numpy as np
 
-
-def fd_grad(problem, x, h=1e-5):
-    """Central finite-difference gradient of problem.full_loss at x."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (problem.full_loss(x + e) - problem.full_loss(x - e)) / (2.0 * h)
-    return g
+from sparsevr.checks import fd_grad  # noqa: F401  (imported by the tests)
 
 
 def long_gradient_descent(problem, x0=None, tol=1e-8, max_iter=500_000):

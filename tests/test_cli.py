@@ -1,8 +1,10 @@
+import ast
 import os
 
 import numpy as np
 import pytest
 
+from sparsevr import checks
 from sparsevr.cli import (PRESETS, ConfigError, build_aggregate, build_problem,
                           generate_dataset, main, parse_config, run_experiment)
 from sparsevr.optimize import run_sgd
@@ -126,8 +128,6 @@ class TestBuildProblem:
         assert spec.problem.d == 8
 
     def test_ratings_file_round_trip(self, tmp_path):
-        # The loader takes the matrix shape from the largest indices present;
-        # at this density every row and column of the 9 x 7 matrix is rated.
         path = tmp_path / "ratings.txt"
         assert main(["gen", "--kind", "low-rank-ratings", "--rows", "9",
                      "--cols", "7", "--rank", "2", "--density", "0.5",
@@ -141,6 +141,16 @@ class TestBuildProblem:
         assert np.array_equal(problem.rows, rows)
         assert np.array_equal(problem.cols, cols)
         assert np.array_equal(problem.vals, vals)
+
+    def test_ratings_file_keeps_the_generated_shape(self, tmp_path):
+        # At this density the last row and column hold no rating.
+        path = tmp_path / "ratings.txt"
+        assert main(["gen", "--kind", "low-rank-ratings", "--rows", "30",
+                     "--cols", "20", "--density", "0.02", "--seed", "1",
+                     "--out", str(path)]) == 0
+        spec = parse_config(f"problem.kind = ratings-file\nproblem.path = {path}\n"
+                            "opt.b = 2\nopt.B = 4\n")
+        assert (spec.problem.n_rows, spec.problem.n_cols) == (30, 20)
 
 
 class TestGenerateDataset:
@@ -214,6 +224,14 @@ class TestRunExperiment:
         spec = parse_config(cfg.replace("1,2,3", "1") + f"run.out = {tmp_path}/o\n")
         assert run_experiment(spec) == 1
 
+    def test_serial_cells_share_one_problem(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("sparsevr.cli.build_problem",
+                            lambda v: calls.append(v) or build_problem(v))
+        spec = parse_config(SMALL_RUN + f"run.out = {tmp_path}/out\n")
+        assert run_experiment(spec) == 0
+        assert len(calls) == 1  # 2 algorithms x 3 seeds, built at parse time
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         spec = parse_config(SMALL_RUN + f"run.out = {serial}\n")
@@ -283,6 +301,25 @@ class TestMainEntrypoint:
         assert main(["check"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("entropy", [lambda v: 0.0, lambda v: 1 / 0],
+                             ids=["requirement-fails", "criterion-raises"])
+    def test_check_verb_reports_a_failing_criterion(self, monkeypatch, capsys,
+                                                    entropy):
+        monkeypatch.setattr(checks, "entropy_bits", entropy)
+        assert main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line.split(":")[0] for line in lines if line[:4] == "FAIL"]
+        assert fails == ["FAIL criterion_03_entropy_base_pin"]
+        passed = [line for line in lines if line.startswith("PASS")]
+        assert len(passed) == 7 == len(lines) - 1
+        assert any("criterion_09_" in line for line in passed)
+
+    def test_checks_module_has_no_assert_statement(self):
+        with open(checks.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
 
     def test_run_unknown_preset(self):
         assert main(["run", "--preset", "nope"]) == 2

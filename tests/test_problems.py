@@ -348,11 +348,20 @@ class TestDatasetIO:
     def test_ratings_round_trip(self, tmp_path):
         rows, cols, vals, _, _ = gen_low_rank_ratings(5, 6, 2, seed=38)
         path = tmp_path / "ratings.txt"
-        save_ratings_dataset(path, rows, cols, vals)
-        r2, c2, v2 = load_ratings_dataset(path)
+        save_ratings_dataset(path, rows, cols, vals, 5, 6)
+        r2, c2, v2, n_rows, n_cols = load_ratings_dataset(path)
         np.testing.assert_array_equal(rows, r2)
         np.testing.assert_array_equal(cols, c2)
         np.testing.assert_array_equal(vals, v2)
+        assert (n_rows, n_cols) == (5, 6)
+
+    def test_ratings_shape_header(self, tmp_path):
+        path = tmp_path / "ratings.txt"
+        path.write_text("1.5 3 0\n2.5 0 1\n")  # no header: largest indices
+        assert load_ratings_dataset(path)[3:] == (4, 2)
+        path.write_text("# shape 3 2\n1.5 3 0\n")
+        with pytest.raises(ValueError, match="header shape"):
+            load_ratings_dataset(path)
 
     def test_labeled_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.txt"
