@@ -125,6 +125,8 @@ def measure_g_G(problem, memory: np.ndarray, x_next: np.ndarray,
     (the subsample size is recorded in the result).  g <= G holds exactly
     for a full sweep and is enforced up to float roundoff.
     """
+    if b < 1:
+        raise ValueError("b must be positive")
     memory = as_vector(memory, problem.d)
     x_next = as_vector(x_next, problem.d)
     x_prev = as_vector(x_prev, problem.d)
@@ -154,8 +156,6 @@ def measure_g_G(problem, memory: np.ndarray, x_next: np.ndarray,
 
     if idx.size == n and g > big_g * (1 + 1e-9) + 1e-12:
         raise RuntimeError(f"g={g} exceeded G={big_g}; capture measurement is broken")
-    if b < 1:
-        raise ValueError("b must be positive")
     return SparsityCapture(g=g, G=big_g, R=g + big_g / b,
                            components_used=int(idx.size))
 

@@ -39,10 +39,16 @@ DIVERGENCE_FACTOR = 1e6
 
 
 def ema_update(memory: np.ndarray, nu: np.ndarray, alpha: float) -> np.ndarray:
-    """alpha*|nu| + (1-alpha)*memory, entrywise; preserves nonnegativity."""
+    """Set memory to (1-alpha)*memory + alpha*|nu| in place and return it.
+
+    Entrywise; preserves nonnegativity.  `memory` must be a float64 array
+    the caller owns.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    return alpha * np.abs(nu) + (1.0 - alpha) * memory
+    memory *= 1.0 - alpha
+    memory += alpha * np.abs(nu)
+    return memory
 
 
 @dataclass
@@ -260,6 +266,10 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     ranges = prob.param_blocks() or [(0, d)]
     blocks = list(zip([lo for lo, _ in ranges], allocate_block_sparsity(
         cfg.k1, cfg.k2, [hi - lo for lo, hi in ranges])))
+    # Per-slot factor in the order of `coords` below: 1 on each block's top
+    # slots, its (d-k1)/k2 rescaling on its random slots.
+    slot_scale = np.concatenate([np.repeat([1.0, p.scale], [p.k1, p.k2])
+                                 for _, p in blocks])
 
     geom = GeomParams(cfg.m) if cfg.inner_mode == "geometric" else None
     out_index = out_rng.integers(1, cfg.T + 1) if cfg.output_mode == "uniform" else None
@@ -287,24 +297,19 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 if identity:
                     nu += prob.grad_batch(i_t, x_new) - prob.grad_batch(i_t, x)
                 else:
-                    supports = [(lo, p, *draw_support(memory[lo:lo + p.d], p, op_rng))
-                                for lo, p in blocks]
-                    coords = np.concatenate([lo + part for lo, _, top, rand in supports
-                                             for part in (top, rand)])
+                    coords = np.concatenate([
+                        lo + part for lo, p in blocks
+                        for part in draw_support(memory[lo:lo + p.d], p, op_rng)])
                     diff = (prob.grad_batch_restricted(i_t, x_new, coords)
                             - prob.grad_batch_restricted(i_t, x, coords))
                     if cfg.debug_check_restricted:
                         dense_diff = (prob.grad_batch(i_t, x_new)
                                       - prob.grad_batch(i_t, x))
-                        masked = np.zeros(d)
-                        masked[coords] = dense_diff[coords]
-                        if not np.array_equal(masked, diff):
+                        if not np.array_equal(dense_diff[coords], diff):
                             raise RuntimeError(
                                 "restricted-oracle update diverged from the "
                                 "dense masked update")
-                    for lo, p, top, rand in supports:
-                        nu[lo + top] += diff[lo + top]
-                        nu[lo + rand] += p.scale * diff[lo + rand]
+                    nu[coords] += slot_scale * diff
                 meter.charge_inner(cfg.b, k, d)
 
                 memory = ema_update(memory, nu, cfg.alpha)

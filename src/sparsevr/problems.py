@@ -4,9 +4,11 @@ Each problem implements three kernels over a selection of components: the
 mean loss `loss_batch`, the mean gradient `grad_batch` and the per-component
 gradient matrix `grad_components`.  The base class derives component loss,
 full loss and full gradient from them; the full-data calls select with a
-slice, so they read the rows in place.  The restricted oracle masks the
-dense batch gradient, so it agrees exactly with the dense path; the reduced
-k/d cost is accounted by the optimizer's query meter, not in wall-clock work.
+slice, so they read the rows in place.  The restricted oracle returns only
+the batch gradient's entries at the requested coordinates, taken from the
+same kernel as the batch gradient, so they agree bit for bit.  Its k/d cost
+is accounted by the optimizer's query meter; in wall-clock it still runs the
+dense backprop, and the network's version skips only the d-length output.
 
 Also here: closed-form or estimated problem constants (smoothness L,
 gradient second-moment bound sigma^2, initial suboptimality delta_f),
@@ -71,15 +73,12 @@ class FiniteSumProblem(abc.ABC):
 
     def grad_batch_restricted(self, idx: np.ndarray, x: np.ndarray,
                               coords: np.ndarray) -> np.ndarray:
-        """Batch gradient masked to `coords`.
+        """Batch gradient entries at `coords`, in the order of `coords`.
 
-        Same code path as grad_batch up to the masking, so the surviving
-        entries match the dense gradient bit for bit.
+        Equals grad_batch(idx, x)[coords] bit for bit; a problem may override
+        it to skip forming the d-length gradient.
         """
-        g = self.grad_batch(idx, x)
-        out = np.zeros_like(g)
-        out[coords] = g[coords]
-        return out
+        return self.grad_batch(idx, x)[coords]
 
     def smoothness_hint(self):
         """Closed-form component-Lipschitz constant, when one is known."""
@@ -277,15 +276,35 @@ class MLPProblem(FiniteSumProblem):
         logp = self._log_softmax(acts[-1])
         return float(-np.mean(logp[np.arange(len(logp)), self.labels[idx]]))
 
-    def grad_batch(self, idx, x):
+    def _layer_grads(self, idx, x):
+        """Per layer (w_lo, b_lo, weight-gradient sum, bias-gradient sum) over
+        the samples in idx, and the 1/len(idx) that turns sums into means."""
         x = as_vector(x, self.d)
         params = self._unpack(x)
         acts, deltas = self._deltas(params, idx)
+        sums = [(w_lo, b_lo, (acts[li].T @ deltas[li]).ravel(),
+                 deltas[li].sum(axis=0))
+                for li, (w_lo, _, b_lo, _, _, _) in enumerate(self._layout)]
+        return sums, 1.0 / len(deltas[-1])
+
+    def grad_batch(self, idx, x):
+        sums, scale = self._layer_grads(idx, x)
         out = np.zeros(self.d)
-        scale = 1.0 / len(deltas[-1])
-        for li, (w_lo, w_hi, b_lo, b_hi, nin, nout) in enumerate(self._layout):
-            out[w_lo:w_hi] = (acts[li].T @ deltas[li]).ravel() * scale
-            out[b_lo:b_hi] = deltas[li].sum(axis=0) * scale
+        for w_lo, b_lo, gw, gb in sums:
+            np.multiply(gw, scale, out=out[w_lo:b_lo])
+            np.multiply(gb, scale, out=out[b_lo:b_lo + gb.size])
+        return out
+
+    def grad_batch_restricted(self, idx, x, coords):
+        """Scales only the entries at `coords` of the per-layer sums that
+        grad_batch scales in full, so the values are the same bits."""
+        coords = np.asarray(coords)
+        sums, scale = self._layer_grads(idx, x)
+        out = np.empty(coords.size)
+        for w_lo, b_lo, gw, gb in sums:
+            for lo, g in ((w_lo, gw), (b_lo, gb)):
+                at = np.flatnonzero((coords >= lo) & (coords < lo + g.size))
+                out[at] = g[coords[at] - lo] * scale
         return out
 
     def grad_components(self, idx, x):

@@ -62,10 +62,12 @@ class RngStream:
     def subset(self, n: int, size: int) -> np.ndarray:
         """Uniform random size-`size` subset of range(n), sorted ascending.
 
-        Partial Fisher-Yates over an index array: the bounded-integer
-        draws come from a single vectorized call, the swaps are applied
-        in order, so uniformity is exact and the draw count is `size`
-        (zero when size == n or size == 0).
+        The result of a partial Fisher-Yates shuffle of range(n), whose step
+        i swaps positions i and j_i = i + offsets[i]: the bounded-integer
+        draws come from a single vectorized call, so uniformity is exact
+        and the draw count is `size` (zero when size == n or size == 0).
+        The swaps are resolved in O(size log size) work without building
+        the length-n index array; see `_resolve_swaps`.
         """
         if size < 0 or size > n:
             raise ValueError(f"subset size {size} out of range for n={n}")
@@ -73,12 +75,9 @@ class RngStream:
             return np.arange(n, dtype=np.int64)
         if size == 0:
             return np.empty(0, dtype=np.int64)
-        arr = np.arange(n, dtype=np.int64)
-        offsets = self._gen.integers(0, n - np.arange(size))
-        for i in range(size):
-            j = i + int(offsets[i])
-            arr[i], arr[j] = arr[j], arr[i]
-        sel = arr[:size]
+        steps = np.arange(size)
+        offsets = self._gen.integers(0, n - steps)
+        sel = _resolve_swaps(steps + offsets)
         sel.sort()
         return sel
 
@@ -89,6 +88,44 @@ class RngStream:
         out = pool[sel]
         out.sort()
         return out
+
+
+def _resolve_swaps(j: np.ndarray) -> np.ndarray:
+    """First len(j) entries of arange(n) after the swaps (i, j[i]), i = 0, 1, ...
+
+    Needs i <= j[i] < n.  Step i fixes position i for good with the value
+    then at j[i].  Only earlier steps that also targeted j[i] wrote there,
+    so that value is j[i] itself, or else what the latest such step t moved
+    there: the value position t held before step t.  That is t, unless an
+    earlier step targeted t, and so on down a chain of decreasing steps,
+    which pointer jumping resolves in O(log len(j)) vectorized rounds.
+    """
+    size = j.size
+    steps = np.arange(size)
+    # Group the steps by target, in step order within a group; "latest
+    # earlier" comes from this order, never from the order in which a
+    # fancy assignment with repeated indices would be applied.
+    order = np.lexsort((steps, j))
+    by_target = j[order]
+    same = by_target[1:] == by_target[:-1]
+    if not same.any():   # no step reads a value another step moved
+        return j
+    # prev[i]: the latest earlier step with the same target as step i
+    prev = np.full(size, -1)
+    prev[order[1:][same]] = order[:-1][same]
+    # link[t]: the latest step that targeted position t < size, else t.
+    # A chain starts at some prev[i] and follows link, so every step t it
+    # visits has j[t] > t: the latest step that targeted t came before t.
+    ends = np.flatnonzero(np.append(~same, True))
+    ends = ends[by_target[ends] < size]
+    link = steps.copy()
+    link[by_target[ends]] = order[ends]
+    while True:
+        jumped = link[link]
+        if np.array_equal(jumped, link):
+            break
+        link = jumped
+    return np.where(prev < 0, j, link[prev])
 
 
 @dataclass(frozen=True)

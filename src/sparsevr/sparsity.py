@@ -99,16 +99,17 @@ def draw_support(score: np.ndarray, p: SparsityParams, rng: RngStream):
     """Draw the operator support: (top indices, random complement indices).
 
     The random part is a uniform size-k2 subset of the complement of the
-    selected top set, sampled by partial Fisher-Yates over the complement
-    index array.
+    selected top set, ascending.  It draws ranks s in range(d - k1) and maps
+    each to the s-th complement index without building the complement: with
+    top ascending, top[i] - i non-top indices lie below top[i], so the s-th
+    one is s plus the number of i with top[i] - i <= s.  That is the same
+    subset, from the same draws, as choosing from the complement array.
     """
     top = select_top_k1(score, p.k1)
     if p.k2 == 0:
         return top, np.empty(0, dtype=np.int64)
-    mask = np.ones(p.d, dtype=bool)
-    mask[top] = False
-    comp = np.flatnonzero(mask)
-    rand = rng.choose(comp, p.k2)
+    sel = rng.subset(p.d - p.k1, p.k2)
+    rand = sel + np.searchsorted(top - np.arange(p.k1), sel, side="right")
     return top, rand
 
 

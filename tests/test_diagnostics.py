@@ -195,6 +195,21 @@ class TestMeasureGG:
                           max_components=10, rng=RngStream(1, 1))
         assert cap.components_used == 10
 
+    def test_arguments_are_checked_before_any_oracle_call(self):
+        class NoOracle(LeastSquaresProblem):
+            def full_grad(self, x):
+                raise RuntimeError("oracle called")
+
+            def grad_components(self, idx, x):
+                raise RuntimeError("oracle called")
+
+        a, b, _ = gen_gaussian_ls(30, 8, seed=4)
+        p = NoOracle(a, b)
+        with pytest.raises(ValueError, match="b must be positive"):
+            measure_g_G(p, np.ones(8), np.ones(8), np.zeros(8), k1=1, b=0)
+        with pytest.raises(ValueError, match="k1=9 out of range"):
+            measure_g_G(p, np.ones(8), np.ones(8), np.zeros(8), k1=9, b=2)
+
 
 class TestEstimatorVariance:
     def test_deterministic_estimator_is_zero(self):

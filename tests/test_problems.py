@@ -59,9 +59,10 @@ class TestLeastSquares:
         idx = np.array([0, 2])
         x = np.array([1.0, -2.0, 0.5])
         dense = p.grad_batch(idx, x)
-        restricted = p.grad_batch_restricted(idx, x, np.array([0]))
-        assert restricted[0] == dense[0]
-        assert restricted[1] == 0.0 and restricted[2] == 0.0
+        coords = np.array([0])
+        restricted = p.grad_batch_restricted(idx, x, coords)
+        assert restricted.shape == (1,)
+        assert np.array_equal(dense[coords], restricted)
 
     def test_fd_agreement(self):
         rng = np.random.default_rng(7)
@@ -130,6 +131,20 @@ class TestMLP:
         dense = p.grad_batch(idx, x)
         restricted = p.grad_batch_restricted(idx, x, np.arange(p.d))
         assert np.array_equal(dense, restricted)
+
+    def test_restricted_in_the_loops_block_order(self):
+        # Per layer: top slots then random slots, each ascending, so the
+        # coords are unsorted and mix weights and biases of both layers.
+        xs, labs = gen_class_blobs(10, 3, 2, seed=15)
+        # weights 0..11 and biases 12..15, then weights 16..23 and biases 24, 25
+        p = MLPProblem([3, 4, 2], xs, labs)
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal(p.d)
+        idx = np.array([0, 3, 8])
+        coords = np.array([2, 13, 7, 12, 14, 17, 24, 19, 25])
+        restricted = p.grad_batch_restricted(idx, x, coords)
+        assert restricted.shape == (len(coords),)
+        assert np.array_equal(p.grad_batch(idx, x)[coords], restricted)
 
     def test_sample_permutation_invariance(self):
         xs, labs = gen_class_blobs(12, 3, 2, seed=17)
@@ -229,11 +244,9 @@ class TestOracleConsistency:
             idx = rng.choice(problem.n, size=size, replace=False)
             k = int(rng.integers(1, problem.d + 1))
             coords = np.sort(rng.choice(problem.d, size=k, replace=False))
-            dense = problem.grad_batch(idx, x)
-            masked = np.zeros_like(dense)
-            masked[coords] = dense[coords]
-            assert np.array_equal(masked,
-                                  problem.grad_batch_restricted(idx, x, coords))
+            restricted = problem.grad_batch_restricted(idx, x, coords)
+            assert restricted.shape == (len(coords),)
+            assert np.array_equal(problem.grad_batch(idx, x)[coords], restricted)
 
     @pytest.mark.parametrize("problem", all_desk_problems(),
                              ids=lambda p: type(p).__name__)

@@ -9,6 +9,40 @@ from sparsevr.sampling import (GeomParams, RngStream, check_geom_lemma,
                                sample_batch)
 
 
+def reference_subset(stream, n, size):
+    """Partial Fisher-Yates over an index array, one swap at a time: the
+    oracle `RngStream.subset` must reproduce draw for draw."""
+    arr = np.arange(n, dtype=np.int64)
+    offsets = stream._gen.integers(0, n - np.arange(size))
+    for i in range(size):
+        j = i + int(offsets[i])
+        arr[i], arr[j] = arr[j], arr[i]
+    sel = arr[:size]
+    sel.sort()
+    return sel
+
+
+def subset_cases():
+    """(seed, n, size) for the comparison with the reference loop."""
+    rng = np.random.default_rng(2024)
+    cases = [(1, 200_000, 2_000), (2, 199_000, 2_008), (3, 2, 1), (4, 1, 1)]
+    for _ in range(2_000):
+        n = int(rng.integers(2, 400))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            size = 1
+        elif kind == 1:
+            size = n - 1
+        elif kind == 2:   # size close to n: many steps hit an earlier target
+            size = max(1, n - int(rng.integers(0, 4)))
+        else:
+            size = int(rng.integers(1, n + 1))
+        cases.append((int(rng.integers(0, 2**32)), n, size))
+    for n in range(2, 12):   # small n: most steps hit an earlier target
+        cases += [(7 * n + size, n, size) for size in range(1, n + 1)]
+    return cases
+
+
 class TestRngStream:
     def test_golden_integer_sequence(self):
         # Frozen draws pin cross-platform reproducibility of the Philox stream.
@@ -20,6 +54,18 @@ class TestRngStream:
         s = RngStream(42, 1)
         assert s.subset(10, 4).tolist() == [0, 3, 4, 8]
         assert s.subset(10, 4).tolist() == [0, 1, 2, 5]
+
+    def test_subset_equals_the_reference_loop(self):
+        cases = subset_cases()
+        assert len(cases) >= 2_000
+        for seed, n, size in cases:
+            stream, ref = RngStream(seed, 3), RngStream(seed, 3)
+            got = stream.subset(n, size)
+            want = ref.subset(n, size) if size == n else reference_subset(ref, n, size)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (seed, n, size)
+            # the stream is left where the reference loop leaves it
+            assert stream.integers(0, 2**62) == ref.integers(0, 2**62)
 
     def test_replay_is_bit_identical(self):
         s = RngStream(123, 9)

@@ -143,6 +143,42 @@ class TestRtop:
             upd = build_update(top, rand, p, rng.standard_normal(d))
             assert len(upd) == k1 + k2
 
+    @pytest.mark.parametrize("d, top, k2", [
+        (12, [], 5),                          # k1 = 0
+        (12, [0, 11], 4),                     # top holds 0 and d - 1
+        (40, list(range(5, 20)) + [30, 31, 32], 9),   # long runs in top
+        (15, [0, 1, 2, 7, 8, 14], 9),         # k1 + k2 = d
+        (9, list(range(1, 9)), 1),            # a single complement index
+    ])
+    def test_complement_mapping_equals_the_mask_reference(self, d, top, k2):
+        score = np.full(d, 0.5)
+        score[top] = 2.0 + np.arange(len(top))
+        p = SparsityParams(len(top), k2, d)
+        stream, ref = RngStream(31, 3), RngStream(31, 3)
+        for _ in range(50):
+            got_top, rand = draw_support(score, p, stream)
+            mask = np.ones(d, dtype=bool)
+            mask[top] = False
+            want = ref.choose(np.flatnonzero(mask), k2)
+            assert got_top.tolist() == top
+            assert rand.dtype == np.int64
+            assert np.array_equal(rand, want)
+        assert stream.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    def test_complement_mapping_on_random_instances(self):
+        rng = np.random.default_rng(32)
+        for trial in range(300):
+            d = int(rng.integers(1, 60))
+            k1 = int(rng.integers(0, d))
+            k2 = int(rng.integers(1, d - k1 + 1))
+            p = SparsityParams(k1, k2, d)
+            score = rng.standard_normal(d)
+            top, rand = draw_support(score, p, RngStream(trial, 3))
+            mask = np.ones(d, dtype=bool)
+            mask[top] = False
+            want = RngStream(trial, 3).choose(np.flatnonzero(mask), k2)
+            assert np.array_equal(rand, want)
+
     def test_linearity_in_y_under_replayed_subset(self):
         rng = np.random.default_rng(10)
         for trial in range(50):
