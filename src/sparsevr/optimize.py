@@ -6,10 +6,15 @@ size-B snapshot gradient at the top of every outer loop and corrected at
 every inner step by a sparsified small-batch gradient difference.  The
 sparsification support (top-k1 scored by the memory vector, plus k2
 random slots, split across the problem's parameter blocks) is drawn
-before any gradient work, so both restricted gradient evaluations touch
+before any gradient work, so both restricted gradient evaluations return
 only the selected coordinates and the query meter charges 2*b*(k1+k2)/d
-per inner step.  The dense baseline is the same loop at k1+k2 = d, where
-every block is the identity and the step uses the dense batch gradient.
+per inner step.  The restricted oracles still run the dense gradient
+kernel (for the network, the dense backprop) and gather from it (see
+`problems`), so the k/d saving is in the meter, not in their wall-clock.
+Each block's top-k1 selection scans only the memory entries not below the
+smallest one at its previous selection (see `draw_support`).  The dense
+baseline is the same loop at k1+k2 = d, where every block is the identity
+and the step uses the dense batch gradient.
 
 Also here: plain batch SGD, the exponential-moving-average memory
 update, and the two hyperparameter calculators.
@@ -29,7 +34,7 @@ from .problems import FiniteSumProblem, ProblemConstants
 from .sampling import (STREAM_BATCH, STREAM_CAPTURE, STREAM_GEOM,
                        STREAM_OPERATOR, STREAM_OUTPUT, GeomParams, RngStream,
                        draw_geometric, sample_batch)
-from .sparsity import SparsityParams, draw_support
+from .sparsity import SparsityParams, draw_support, select_top_k1
 from .vecops import as_vector
 
 log = logging.getLogger("sparsevr")
@@ -270,6 +275,8 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     # slots, its (d-k1)/k2 rescaling on its random slots.
     slot_scale = np.concatenate([np.repeat([1.0, p.scale], [p.k1, p.k2])
                                  for _, p in blocks])
+    # Each block's last top-k1 selection; it bounds the next one from below.
+    tops = [None] * len(blocks)
 
     geom = GeomParams(cfg.m) if cfg.inner_mode == "geometric" else None
     out_index = out_rng.integers(1, cfg.T + 1) if cfg.output_mode == "uniform" else None
@@ -297,9 +304,17 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 if identity:
                     nu += prob.grad_batch(i_t, x_new) - prob.grad_batch(i_t, x)
                 else:
-                    coords = np.concatenate([
-                        lo + part for lo, p in blocks
-                        for part in draw_support(memory[lo:lo + p.d], p, op_rng)])
+                    parts = []
+                    for i, (lo, p) in enumerate(blocks):
+                        block = memory[lo:lo + p.d]
+                        top, rand = draw_support(block, p, op_rng, tops[i])
+                        if cfg.debug_check_restricted and not np.array_equal(
+                                top, select_top_k1(block, p.k1)):
+                            raise RuntimeError("carried top-k1 selection "
+                                               "diverged from select_top_k1")
+                        tops[i] = top
+                        parts += [lo + top, lo + rand]
+                    coords = np.concatenate(parts)
                     diff = (prob.grad_batch_restricted(i_t, x_new, coords)
                             - prob.grad_batch_restricted(i_t, x, coords))
                     if cfg.debug_check_restricted:

@@ -86,6 +86,32 @@ def select_top_k1(score: np.ndarray, k1: int) -> np.ndarray:
     return sel.astype(np.int64)
 
 
+def _top_k1_above_prev(memory: np.ndarray, k1: int,
+                       prev_top: np.ndarray) -> np.ndarray:
+    """select_top_k1(memory, k1) for a nonnegative block, partitioning only
+    the candidates ~(memory < b), b = min(memory[prev_top]); see
+    `draw_support` for why they hold the whole selection.
+
+    The complement form keeps NaN as a candidate (b is NaN if prev_top
+    holds one), so the finiteness check on the candidates rejects any NaN
+    or +Inf in the block, as select_top_k1 does.
+    """
+    bound = memory[prev_top].min()
+    cand = np.flatnonzero(~(memory < bound))
+    vals = memory[cand]
+    if not np.isfinite(vals).all():
+        raise ValueError("vector contains NaN or Inf")
+    if cand.size < k1:
+        raise ValueError("prev_top must hold k1 distinct indices")
+    kth = np.partition(vals, cand.size - k1)[cand.size - k1]
+    sel = cand[vals > kth]
+    need = k1 - sel.size
+    if need > 0:
+        ties = cand[vals == kth][:need]
+        sel = np.sort(np.concatenate([sel, ties]))
+    return sel.astype(np.int64)
+
+
 def top_neg_k1(score: np.ndarray, y: np.ndarray, k1: int) -> np.ndarray:
     """y with the selected top-k1 coordinates zeroed out."""
     score = as_vector(score)
@@ -95,8 +121,16 @@ def top_neg_k1(score: np.ndarray, y: np.ndarray, k1: int) -> np.ndarray:
     return out
 
 
-def draw_support(score: np.ndarray, p: SparsityParams, rng: RngStream):
+def draw_support(score: np.ndarray, p: SparsityParams, rng: RngStream,
+                 prev_top: np.ndarray | None = None):
     """Draw the operator support: (top indices, random complement indices).
+
+    The top part is `select_top_k1(score, p.k1)`.  Given `prev_top`, any
+    k1 distinct indices of a nonnegative `score` (the optimizer passes the
+    block's previous selection from its EMA memory), only the entries not
+    below b = min(score[prev_top]) are scanned: the k1 entries at prev_top
+    are all >= b, so the k1-th largest entry is >= b too, and no entry
+    below b can be selected.  The result is the same indices.
 
     The random part is a uniform size-k2 subset of the complement of the
     selected top set, ascending.  It draws ranks s in range(d - k1) and maps
@@ -105,7 +139,10 @@ def draw_support(score: np.ndarray, p: SparsityParams, rng: RngStream):
     one is s plus the number of i with top[i] - i <= s.  That is the same
     subset, from the same draws, as choosing from the complement array.
     """
-    top = select_top_k1(score, p.k1)
+    if prev_top is not None and 0 < p.k1 < p.d:
+        top = _top_k1_above_prev(score, p.k1, prev_top)
+    else:
+        top = select_top_k1(score, p.k1)
     if p.k2 == 0:
         return top, np.empty(0, dtype=np.int64)
     sel = rng.subset(p.d - p.k1, p.k2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,9 @@ from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
                                ProblemConstants, gen_class_blobs,
                                gen_gaussian_ls, gen_logistic_blobs,
                                gen_low_rank_ratings, gen_planted_ls)
+from sparsevr import sparsity
 from sparsevr.sampling import RngStream, sample_batch
-from sparsevr.sparsity import SparsityParams, rtop
+from sparsevr.sparsity import SparsityParams, rtop, select_top_k1
 from sparsevr.vecops import densify, norm2_sq
 
 
@@ -291,6 +293,72 @@ class TestRestrictedFidelity:
                                                       density=0.6)
         prob = MatrixFactorizationProblem(rows, cols, vals, 6, 5, 2)
         self._run(prob, 4, 4)
+
+
+def selection_problems():
+    """(problem, k1, k2) for least squares, logistic, the blocked MLP and
+    matrix factorization; every block has 0 < k1 < d."""
+    a, b, _ = gen_gaussian_ls(30, 8, seed=14)
+    a2, y2 = gen_logistic_blobs(30, 8, seed=15)
+    xs, labs = gen_class_blobs(20, 4, 2, seed=16)
+    rows, cols, vals, _, _ = gen_low_rank_ratings(6, 5, 2, seed=17,
+                                                  density=0.6)
+    return [(LeastSquaresProblem(a, b), 2, 2),
+            (LogisticProblem(a2, y2, ridge=0.01), 2, 2),
+            (MLPProblem([4, 5, 2], xs, labs), 12, 6),
+            (MatrixFactorizationProblem(rows, cols, vals, 6, 5, 2), 4, 4)]
+
+
+class TestTopK1FromPrevious:
+    """The loop's top-k1 selection, bounded by each block's previous one,
+    leaves every run bit-identical to one that selects in full."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_run_equals_full_selection(self, monkeypatch, case):
+        prob, k1, k2 = selection_problems()[case]
+        ranges = prob.param_blocks() or [(0, prob.d)]
+        params = allocate_block_sparsity(k1, k2, [hi - lo for lo, hi in ranges])
+        assert all(0 < p.k1 < p.d for p in params)
+        carried = sparsity._top_k1_above_prev
+        for alpha in (0.0, 0.5, 1.0):
+            for mode in ("fixed", "geometric"):
+                cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3,
+                                B=min(12, prob.n), b=min(3, prob.n),
+                                alpha=alpha, k1=k1, k2=k2, inner_mode=mode,
+                                seed=3, record_grad_norm=False)
+                calls = []
+
+                def counted(memory, k, prev_top):
+                    calls.append(k)
+                    return carried(memory, k, prev_top)
+
+                monkeypatch.setattr(sparsity, "_top_k1_above_prev", counted)
+                x, rec = run_sparse_spiderboost(cfg)
+                monkeypatch.setattr(sparsity, "_top_k1_above_prev",
+                                    lambda memory, k, _: select_top_k1(memory, k))
+                x_ref, ref = run_sparse_spiderboost(cfg)
+
+                steps = sum(rec.inner_lengths())
+                assert steps > 1
+                assert len(calls) == len(params) * (steps - 1)
+                assert np.array_equal(x, x_ref)
+                assert rec.meter.units == ref.meter.units
+                assert ([(r.loss, r.entropy) for r in rec.rows]
+                        == [(r.loss, r.entropy) for r in ref.rows])
+
+    def test_debug_check_catches_a_wrong_selection(self, monkeypatch):
+        a, b, _ = gen_gaussian_ls(30, 8, seed=14)
+        cfg = RunConfig(problem=LeastSquaresProblem(a, b), eta=0.1, m=4, T=3,
+                        B=12, b=3, k1=2, k2=2, seed=0,
+                        debug_check_restricted=True, record_grad_norm=False)
+        run_sparse_spiderboost(cfg)
+        # the k1 smallest entries instead of the largest
+        monkeypatch.setattr(sparsity, "_top_k1_above_prev",
+                            lambda memory, k, _: select_top_k1(-1.0 / (1.0 + memory), k))
+        with pytest.raises(RuntimeError, match="top-k1"):
+            run_sparse_spiderboost(cfg)
+        _, record = run_sparse_spiderboost(replace(cfg, debug_check_restricted=False))
+        assert not record.aborted
 
 
 class TestBlockAllocation:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from sparsevr import sparsity
+from sparsevr.optimize import ema_update
 from sparsevr.sampling import RngStream
 from sparsevr.sparsity import (ENUMERATION_GUARD, SparsityParams, build_update,
                                draw_support, rtop, rtop_enumerate,
@@ -76,6 +78,73 @@ class TestSelectTopK1:
             got = select_top_k1(score, k1)
             assert set(got.tolist()) == sorted_topk_reference(score, k1)
             assert np.all(np.diff(got) > 0)
+
+
+def random_memory_and_previous(rng):
+    """A nonnegative block, k1 in [1, d-1] and a size-k1 index set.
+
+    Memory is quantized (many ties at the threshold), all zero, or
+    continuous.  The index set is arbitrary, or the true top-k1 of the
+    memory one EMA step earlier, as the optimizer carries it.
+    """
+    d = int(rng.integers(2, 41))
+    k1 = int(rng.integers(1, d))
+    kind = rng.integers(3)
+    if kind == 0:
+        memory = rng.integers(0, 4, size=d).astype(float)
+    elif kind == 1:
+        memory = np.zeros(d)
+    else:
+        memory = np.abs(rng.standard_normal(d))
+    if rng.random() < 0.5:
+        prev = rng.choice(d, size=k1, replace=False)
+    else:
+        prev = select_top_k1(memory, k1)
+        nu = rng.integers(-3, 4, size=d).astype(float)
+        memory = ema_update(memory, nu, float(rng.choice([0.0, 0.5, 1.0])))
+    return memory, k1, prev
+
+
+class TestTopK1FromPrevious:
+    """The selection bounded by a previous one equals select_top_k1."""
+
+    def test_equals_full_selection(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10_000):
+            memory, k1, prev = random_memory_and_previous(rng)
+            got = sparsity._top_k1_above_prev(memory, k1, prev)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, select_top_k1(memory, k1))
+
+    def test_draw_support_with_previous_draws_the_same_support(self):
+        rng = np.random.default_rng(62)
+        for trial in range(300):
+            memory, k1, prev = random_memory_and_previous(rng)
+            d = memory.size
+            p = SparsityParams(k1, int(rng.integers(1, d - k1 + 1)), d)
+            stream, ref = RngStream(trial, 3), RngStream(trial, 3)
+            got = draw_support(memory, p, stream, prev)
+            want = draw_support(memory, p, ref)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert stream.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("inside_prev", [True, False])
+    def test_rejects_nan_and_inf_anywhere(self, bad, inside_prev):
+        rng = np.random.default_rng(63)
+        for _ in range(200):
+            memory, k1, prev = random_memory_and_previous(rng)
+            outside = np.setdiff1d(np.arange(memory.size), prev)
+            memory[rng.choice(prev if inside_prev else outside)] = bad
+            with pytest.raises(ValueError):
+                select_top_k1(memory, k1)
+            with pytest.raises(ValueError):
+                sparsity._top_k1_above_prev(memory, k1, prev)
+
+    def test_rejects_a_previous_set_with_repeats(self):
+        # b = 3 leaves one candidate for two slots
+        with pytest.raises(ValueError, match="distinct"):
+            sparsity._top_k1_above_prev(np.arange(4.0), 2, np.array([3, 3]))
 
 
 class TestTopNegK1:
