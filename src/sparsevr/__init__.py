@@ -1,8 +1,7 @@
 """Variance-reduced stochastic optimization with sparse gradient corrections."""
 
 from .diagnostics import (QueryMeter, SparsityCapture, entropy_bits,
-                          estimate_estimator_variance, measure_g_G,
-                          meter_charge)
+                          estimate_estimator_variance, measure_g_G)
 from .optimize import (HyperparamInputs, RunConfig, RunRecord,
                        allocate_block_sparsity, apply_hyperparams,
                        data_adaptive_hyperparams, ema_update, run_sgd,
@@ -15,13 +14,13 @@ from .sampling import (GeomParams, RngStream, check_geom_lemma,
                        draw_geometric, draw_geometric_many, sample_batch)
 from .sparsity import (SparsityParams, rtop, rtop_enumerate, select_top_k1,
                        top_neg_k1)
-from .vecops import SparseUpdate, axpy, densify, norm2_sq
+from .vecops import norm2_sq
 
 __version__ = "0.1.0"
 
 __all__ = [
     "QueryMeter", "SparsityCapture", "entropy_bits",
-    "estimate_estimator_variance", "measure_g_G", "meter_charge",
+    "estimate_estimator_variance", "measure_g_G",
     "HyperparamInputs", "RunConfig", "RunRecord", "allocate_block_sparsity",
     "apply_hyperparams", "data_adaptive_hyperparams", "ema_update", "run_sgd",
     "run_sparse_spiderboost", "run_spiderboost_dense", "worst_case_hyperparams",
@@ -31,5 +30,5 @@ __all__ = [
     "GeomParams", "RngStream", "check_geom_lemma", "draw_geometric",
     "draw_geometric_many", "sample_batch",
     "SparsityParams", "rtop", "rtop_enumerate", "select_top_k1", "top_neg_k1",
-    "SparseUpdate", "axpy", "densify", "norm2_sq",
+    "norm2_sq",
 ]

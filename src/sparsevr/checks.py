@@ -17,9 +17,9 @@ from .problems import (LeastSquaresProblem, LogisticProblem,
                        gen_gaussian_ls, gen_logistic_blobs,
                        gen_low_rank_ratings, gen_planted_ls)
 from .sampling import RngStream, check_geom_lemma
-from .sparsity import (SparsityParams, build_update, draw_support,
-                       rtop_enumerate, top_neg_k1)
-from .vecops import densify, norm2_sq
+from .sparsity import (SparsityParams, draw_support, rtop, rtop_enumerate,
+                       top_neg_k1)
+from .vecops import norm2_sq
 
 
 def _require(cond, msg):
@@ -68,18 +68,16 @@ def criterion_01_operator_exactness():
 
 
 def criterion_02_worked_example_bit_exact():
-    """Forced random slot on the textbook instance reproduces
-    (0, -96, 0, 0, 11) bit for bit, with enumerated variance 4542."""
+    """The seeded stream that draws random slot 1 on the textbook instance
+    makes rtop reproduce (0, -96, 0, 0, 11) bit for bit, with enumerated
+    variance 4542."""
     score = np.array([11.0, 12.0, 13.0, -14.0, -15.0])
     y = np.array([-25.0, -24.0, 13.0, 12.0, 11.0])
     p = SparsityParams(1, 1, 5)
     expect = np.array([0.0, -96.0, 0.0, 0.0, 11.0])
-    forced = build_update(np.array([4]), np.array([1]), p, y)
-    _require(np.array_equal(densify(forced), expect), "forced update")
-    # the same subset also arises naturally from a seeded stream
     top, rand = draw_support(score, p, RngStream(1, 3))
     _require(top.tolist() == [4] and rand.tolist() == [1], "seeded support")
-    _require(np.array_equal(densify(build_update(top, rand, p, y)), expect),
+    _require(np.array_equal(rtop(score, y, p, RngStream(1, 3)), expect),
              "seeded update")
     _, var = rtop_enumerate(score, y, p)
     _require(var == 4542.0, f"variance {var} != 4542")

@@ -136,7 +136,6 @@ _SCHEMA = {
     "run.mode": (_parse_mode, "impl"),
     "run.out": (str, "runs"),
     "run.record_grad_norm": (_parse_bool, True),
-    "run.capture": (_parse_bool, False),
     "run.timing": (_parse_bool, False),
     "run.bins": (int, 50),
     "run.jobs": (int, 1),
@@ -431,7 +430,6 @@ def run_config(values: dict, problem, seed: int,
         output_mode="uniform" if theory else "last",
         seed=seed, eta_end=v["opt.eta_end"],
         record_grad_norm=v["run.record_grad_norm"],
-        record_capture=v["run.capture"],
         target_grad_norm=v["run.target_grad_norm"])
     return apply_hyperparams(cfg, fragment) if fragment else cfg
 

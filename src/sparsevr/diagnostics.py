@@ -70,20 +70,6 @@ class QueryMeter:
         return total
 
 
-def meter_charge(meter: QueryMeter, event: tuple) -> QueryMeter:
-    """Apply one ('snapshot', B, n) / ('inner', b, k, d) / ('sgd', b) event."""
-    kind = event[0]
-    if kind == "snapshot":
-        meter.charge_snapshot(event[1], event[2])
-    elif kind == "inner":
-        meter.charge_inner(event[1], event[2], event[3])
-    elif kind == "sgd":
-        meter.charge_sgd(event[1])
-    else:
-        raise ValueError(f"unknown event kind {kind!r}")
-    return meter
-
-
 def entropy_bits(memory: np.ndarray) -> float:
     """Base-2 entropy of memory/||memory||_1, with 0·log 0 = 0.
 

@@ -8,9 +8,12 @@ sparsification support (top-k1 scored by the memory vector, plus k2
 random slots, split across the problem's parameter blocks) is drawn
 before any gradient work, so both restricted gradient evaluations return
 only the selected coordinates and the query meter charges 2*b*(k1+k2)/d
-per inner step.  The restricted oracles still run the dense gradient
-kernel (for the network, the dense backprop) and gather from it (see
-`problems`), so the k/d saving is in the meter, not in their wall-clock.
+per inner step.  The correction is `rtop` applied block by block: the
+loop draws each block's support with `draw_support` and weights the slots
+with `slot_scale`, the two pieces `rtop` itself is built from.  The
+restricted oracles still run the dense gradient kernel (for the network,
+the dense backprop) and gather from it (see `problems`), so the k/d
+saving is in the meter, not in their wall-clock.
 Each block's top-k1 selection scans only the memory entries not below the
 smallest one at its previous selection (see `draw_support`).  The dense
 baseline is the same loop at k1+k2 = d, where every block is the identity
@@ -34,7 +37,7 @@ from .problems import FiniteSumProblem, ProblemConstants
 from .sampling import (STREAM_BATCH, STREAM_CAPTURE, STREAM_GEOM,
                        STREAM_OPERATOR, STREAM_OUTPUT, GeomParams, RngStream,
                        draw_geometric, sample_batch)
-from .sparsity import SparsityParams, draw_support, select_top_k1
+from .sparsity import SparsityParams, draw_support, select_top_k1, slot_scale
 from .vecops import as_vector
 
 log = logging.getLogger("sparsevr")
@@ -92,7 +95,7 @@ class RunConfig:
             raise ValueError("need b <= min(B, n)")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        SparsityParams(self.k1, self.k2, d)  # validates the sparsity budget
+        _operator_blocks(self)  # validates the budget and its per-block split
         if self.inner_mode not in ("fixed", "geometric"):
             raise ValueError("inner_mode must be 'fixed' or 'geometric'")
         if self.output_mode not in ("last", "uniform"):
@@ -214,6 +217,14 @@ def allocate_block_sparsity(k1: int, k2: int, block_sizes) -> list[SparsityParam
             for a, b, s in zip(k1_b, k2_b, sizes)]
 
 
+def _operator_blocks(cfg: RunConfig) -> list[tuple[int, SparsityParams]]:
+    """One (offset, SparsityParams) per parameter block of the problem, or
+    a single (0, d) block, splitting the run's (k1, k2) budget."""
+    ranges = cfg.problem.param_blocks() or [(0, cfg.problem.d)]
+    return list(zip([lo for lo, _ in ranges], allocate_block_sparsity(
+        cfg.k1, cfg.k2, [hi - lo for lo, hi in ranges])))
+
+
 class _Aborted(Exception):
     def __init__(self, reason):
         self.reason = reason
@@ -247,7 +258,10 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
 
     The operator is one (offset, SparsityParams) block per parameter block
     of the problem, or a single (0, d) block.  At k1+k2 = d every block is
-    the identity and the inner step uses the dense batch gradient.
+    the identity and the inner step uses the dense batch gradient.  Each
+    block's `draw_support` call stays here, under the name this module
+    imports, so perfbench's tracer, which wraps that name, sees one call
+    per block.
     """
     cfg.validate()
     prob = cfg.problem
@@ -268,13 +282,9 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
 
     k = cfg.k1 + cfg.k2
     identity = k == d
-    ranges = prob.param_blocks() or [(0, d)]
-    blocks = list(zip([lo for lo, _ in ranges], allocate_block_sparsity(
-        cfg.k1, cfg.k2, [hi - lo for lo, hi in ranges])))
-    # Per-slot factor in the order of `coords` below: 1 on each block's top
-    # slots, its (d-k1)/k2 rescaling on its random slots.
-    slot_scale = np.concatenate([np.repeat([1.0, p.scale], [p.k1, p.k2])
-                                 for _, p in blocks])
+    blocks = _operator_blocks(cfg)
+    # Per-slot factor in the [top, rand] order of `coords` below.
+    scales = slot_scale(p for _, p in blocks)
     # Each block's last top-k1 selection; it bounds the next one from below.
     tops = [None] * len(blocks)
 
@@ -324,7 +334,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                             raise RuntimeError(
                                 "restricted-oracle update diverged from the "
                                 "dense masked update")
-                    nu[coords] += slot_scale * diff
+                    nu[coords] += scales * diff
                 meter.charge_inner(cfg.b, k, d)
 
                 memory = ema_update(memory, nu, cfg.alpha)

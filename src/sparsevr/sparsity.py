@@ -2,11 +2,15 @@
 
 `rtop` keeps the k1 coordinates of y whose score has largest absolute
 value, plus k2 uniformly random coordinates from the complement rescaled
-by (d - k1)/k2, which makes the output an unbiased estimate of y.
-`top_neg_k1` is the residual of y on the non-selected coordinates; its
-squared norm drives the operator's variance.  `rtop_enumerate` computes
-the exact mean and variance by brute-force enumeration of every random
-subset and serves as the test oracle for the closed-form variance.
+by (d - k1)/k2, which makes the output an unbiased estimate of y; it
+returns that estimate as a dense vector.  The operator is defined once:
+`draw_support` draws the support and `slot_scale` gives the factor of
+each slot, and both `rtop` and the optimizer's inner step are built from
+the two.  `top_neg_k1` is the residual of y on the non-selected
+coordinates; its squared norm drives the operator's variance.
+`rtop_enumerate` computes the exact mean and variance by brute-force
+enumeration of every random subset and serves as the test oracle for the
+closed-form variance.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .sampling import RngStream
-from .vecops import SparseUpdate, as_vector
+from .vecops import as_vector
 
 # rtop_enumerate refuses instances with more random subsets than this.
 ENUMERATION_GUARD = 10**6
@@ -150,29 +154,33 @@ def draw_support(score: np.ndarray, p: SparsityParams, rng: RngStream,
     return top, rand
 
 
-def build_update(top: np.ndarray, rand: np.ndarray, p: SparsityParams,
-                 y: np.ndarray) -> SparseUpdate:
-    """Assemble the sparse estimate of y on a drawn support."""
-    if rand.size:
-        idx = np.concatenate([top, rand])
-        vals = np.concatenate([y[top], p.scale * y[rand]])
-        order = np.argsort(idx)
-        return SparseUpdate(p.d, idx[order], vals[order])
-    return SparseUpdate(p.d, top, y[top])
+def slot_scale(params) -> np.ndarray:
+    """Per-slot factor of the operator over a sequence of blocks.
+
+    Each block contributes k1 ones (its top slots) followed by k2 copies of
+    its (d-k1)/k2 rescaling (its random slots), matching a support laid
+    out as [top, rand] block after block.
+    """
+    return np.concatenate([np.repeat([1.0, p.scale], [p.k1, p.k2])
+                           for p in params])
 
 
 def rtop(score: np.ndarray, y: np.ndarray, p: SparsityParams,
-         rng: RngStream) -> SparseUpdate:
-    """Random-top-k estimate of y, scored by |score|.
+         rng: RngStream) -> np.ndarray:
+    """Random-top-k estimate of y, scored by |score|, as a dense vector.
 
     Support is T ∪ S with T the deterministic top-k1 selection and S a
     uniform random size-k2 subset of its complement; values are y on T
-    and ((d-k1)/k2)·y on S.  Unbiased for y over the draw of S.
+    and ((d-k1)/k2)·y on S, zero elsewhere.  Unbiased for y over the draw
+    of S.
     """
     score = as_vector(score, p.d)
     y = as_vector(y, p.d)
     top, rand = draw_support(score, p, rng)
-    return build_update(top, rand, p, y)
+    coords = np.concatenate([top, rand])
+    out = np.zeros(p.d, dtype=np.float64)
+    out[coords] = slot_scale([p]) * y[coords]
+    return out
 
 
 def rtop_enumerate(score: np.ndarray, y: np.ndarray, p: SparsityParams):

@@ -1,15 +1,12 @@
-"""Dense parameter vectors and the sparse-update representation.
+"""Dense parameter vectors.
 
-Every other module passes gradients and iterates around as plain 1-D float64
-numpy arrays; `as_vector` is the validation helper that enforces that
-contract.  `SparseUpdate` carries the output of the sparsification operator:
-index/value pairs over a fixed dimension, with any rescaling already applied
-so that adding an update is a plain scatter-add.
+Every module passes gradients, iterates and operator outputs around as
+plain 1-D float64 numpy arrays; `as_vector` is the validation helper that
+enforces that contract, and `norm2_sq` is the squared norm the variance
+formulas use.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,63 +23,7 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class SparseUpdate:
-    """Sparse vector over dimension `dim`: unique indices, strictly ascending."""
-
-    dim: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if idx.ndim != 1 or vals.ndim != 1 or idx.size != vals.size:
-            raise ValueError("indices and values must be 1-D and equal length")
-        if idx.size > self.dim:
-            raise ValueError("more entries than dimensions")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError("index out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly ascending")
-        if not np.isfinite(vals).all():
-            raise ValueError("values contain NaN or Inf")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_pairs(cls, dim, pairs) -> "SparseUpdate":
-        """Build from an iterable of (index, value), sorting by index."""
-        pairs = sorted(pairs)
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        vals = np.array([p[1] for p in pairs], dtype=np.float64)
-        return cls(dim, idx, vals)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-
-def axpy(a: float, x: SparseUpdate, y: np.ndarray) -> np.ndarray:
-    """Return y + a*x, touching only x's indices; y itself is unchanged."""
-    y = as_vector(y)
-    if x.dim != y.size:
-        raise ValueError(f"dimension mismatch: update dim {x.dim}, vector dim {y.size}")
-    out = y.copy()
-    out[x.indices] += a * x.values
-    return out
-
-
 def norm2_sq(x: np.ndarray) -> float:
     """Squared Euclidean norm."""
     x = np.asarray(x, dtype=np.float64)
     return float(np.dot(x, x))
-
-
-def densify(x: SparseUpdate) -> np.ndarray:
-    """Dense vector with x's values at its indices and zeros elsewhere."""
-    out = np.zeros(x.dim, dtype=np.float64)
-    out[x.indices] = x.values
-    return out

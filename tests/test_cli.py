@@ -274,6 +274,19 @@ class TestMainEntrypoint:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_run_rejects_block_allocation_before_creating_output(
+            self, tmp_path, capsys):
+        # mlp-blobs has two layers, so every block needs one of the k2
+        # random slots and k2 = 1 cannot be split.
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "never"
+        cfg.write_text(PRESETS["mlp-blobs"].replace("opt.k2 = 10",
+                                                    "opt.k2 = 1"))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: invalid opt.* values: k2=1 is too small"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_run_flag_is_validated_before_creating_output(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         out = tmp_path / "never"

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from sparsevr.diagnostics import (QueryMeter, entropy_bits,
-                                  estimate_estimator_variance, measure_g_G,
-                                  meter_charge)
+                                  estimate_estimator_variance, measure_g_G)
 from sparsevr.problems import LeastSquaresProblem, gen_gaussian_ls
 from sparsevr.sampling import RngStream, sample_batch
 from sparsevr.sparsity import SparsityParams, rtop, top_neg_k1
-from sparsevr.vecops import densify, norm2_sq
+from sparsevr.vecops import norm2_sq
 
 
 class TestQueryMeter:
@@ -56,15 +55,6 @@ class TestQueryMeter:
             else:
                 m.charge_sgd(int(rng.integers(1, 20)))
         assert m.units == m.recomputed_units()
-
-    def test_meter_charge_dispatch(self):
-        m = QueryMeter()
-        meter_charge(m, ("snapshot", 5, 100))
-        meter_charge(m, ("inner", 2, 3, 7))
-        meter_charge(m, ("sgd", 4))
-        assert m.units == Fraction(5) + Fraction(12, 7) + Fraction(4)
-        with pytest.raises(ValueError):
-            meter_charge(m, ("bogus", 1))
 
     def test_event_log_is_bounded_by_distinct_events(self):
         m = QueryMeter()
@@ -239,7 +229,7 @@ class TestEstimatorVariance:
         p = SparsityParams(0, 1, 2)
 
         def estimator(rng):
-            return densify(rtop(np.zeros(2), y, p, rng))
+            return rtop(np.zeros(2), y, p, rng)
 
         var = estimate_estimator_variance(estimator, trials=100_000,
                                           rng=RngStream(4, 3))
@@ -264,7 +254,7 @@ class TestEstimatorVariance:
             y = rng_inst.standard_normal(d)
             expect = (d - k1 - k2) / k2 * norm2_sq(top_neg_k1(score, y, k1))
             stream = RngStream(int(rng_inst.integers(0, 2 ** 32)), 3)
-            draws = np.stack([densify(rtop(score, y, p, stream))
+            draws = np.stack([rtop(score, y, p, stream)
                               for _ in range(trials)])
             var = float(np.sum(draws.var(axis=0, ddof=1)))
             # SE of the total-variance estimate via the spread of the

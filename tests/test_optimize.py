@@ -16,10 +16,10 @@ from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
                                ProblemConstants, gen_class_blobs,
                                gen_gaussian_ls, gen_logistic_blobs,
                                gen_low_rank_ratings, gen_planted_ls)
-from sparsevr import sparsity
-from sparsevr.sampling import RngStream, sample_batch
+from sparsevr import optimize, sparsity
+from sparsevr.sampling import STREAM_OPERATOR, RngStream, sample_batch
 from sparsevr.sparsity import SparsityParams, rtop, select_top_k1
-from sparsevr.vecops import densify, norm2_sq
+from sparsevr.vecops import norm2_sq
 
 
 def quadratic_problem():
@@ -115,6 +115,13 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2,
                       k1=3, k2=3).validate()
+
+    def test_rejects_k2_below_block_count(self):
+        xs, labs = gen_class_blobs(10, 3, 2, seed=20)
+        prob = MLPProblem([3, 4, 2], xs, labs)
+        with pytest.raises(ValueError, match="k2=1 is too small"):
+            RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2,
+                      k1=2, k2=1).validate()
 
 
 class TestQuadraticContraction:
@@ -293,6 +300,43 @@ class TestRestrictedFidelity:
                                                       density=0.6)
         prob = MatrixFactorizationProblem(rows, cols, vals, 6, 5, 2)
         self._run(prob, 4, 4)
+
+
+class TestLoopIsRtop:
+    def test_first_sparse_step_adds_rtop_of_the_dense_difference(
+            self, monkeypatch):
+        # The loop's correction and rtop are one operator: after the first
+        # inner step, nu is nu0 plus rtop of the dense batch difference,
+        # scored by the pre-update memory and drawn from the run's own
+        # operator stream.
+        a, b_vec, _ = gen_gaussian_ls(60, 20, seed=41)
+        prob = LeastSquaresProblem(a, b_vec, ridge=0.01)
+        x0 = np.random.default_rng(42).standard_normal(20)
+        cfg = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=30, b=8, k1=3,
+                        k2=4, seed=43, x0=x0, record_grad_norm=False)
+        batches, steps = [], []
+        real_sample, real_ema = optimize.sample_batch, optimize.ema_update
+
+        def sample(n, size, rng):
+            batches.append(real_sample(n, size, rng))
+            return batches[-1]
+
+        def ema(memory, nu, alpha):
+            steps.append((memory.copy(), nu.copy()))
+            return real_ema(memory, nu, alpha)
+
+        monkeypatch.setattr(optimize, "sample_batch", sample)
+        monkeypatch.setattr(optimize, "ema_update", ema)
+        run_sparse_spiderboost(cfg)
+        _, i_snap, i_t = batches  # memory init, snapshot, inner step
+        memory0, nu1 = steps[0]
+        nu0 = prob.grad_batch(i_snap, x0)
+        x1 = x0 - cfg.eta * nu0
+        dense_diff = prob.grad_batch(i_t, x1) - prob.grad_batch(i_t, x0)
+        expect = nu0 + rtop(memory0, dense_diff, SparsityParams(3, 4, 20),
+                            RngStream(43, STREAM_OPERATOR))
+        assert not np.array_equal(nu1, nu0)
+        assert np.array_equal(nu1, expect)
 
 
 def selection_problems():
@@ -488,7 +532,7 @@ class TestOneStepVarianceBound:
         def estimator(stream):
             idx = sample_batch(prob.n, b, stream)
             diff = prob.grad_batch(idx, x1) - prob.grad_batch(idx, x0)
-            return nu0 + densify(rtop(memory, diff, p, stream))
+            return nu0 + rtop(memory, diff, p, stream)
 
         trials = 3000
         lhs = estimate_estimator_variance(estimator, trials, RngStream(26, 3))

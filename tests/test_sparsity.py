@@ -6,10 +6,10 @@ import pytest
 from sparsevr import sparsity
 from sparsevr.optimize import ema_update
 from sparsevr.sampling import RngStream
-from sparsevr.sparsity import (ENUMERATION_GUARD, SparsityParams, build_update,
+from sparsevr.sparsity import (ENUMERATION_GUARD, SparsityParams,
                                draw_support, rtop, rtop_enumerate,
                                select_top_k1, top_neg_k1)
-from sparsevr.vecops import densify, norm2_sq
+from sparsevr.vecops import norm2_sq
 
 SCORE = np.array([11.0, 12.0, 13.0, -14.0, -15.0])
 Y = np.array([-25.0, -24.0, 13.0, 12.0, 11.0])
@@ -167,11 +167,13 @@ class TestTopNegK1:
 
 class TestRtop:
     def test_worked_example_forced_subset(self):
-        # With the random slot forced to index 1, the rescaled output is
+        # Stream (1, 3) draws random slot 1, so the rescaled output is
         # exactly (0, -96, 0, 0, 11): 4*(-24) on the random slot, y_4 kept.
         p = SparsityParams(1, 1, 5)
-        upd = build_update(np.array([4]), np.array([1]), p, Y)
-        assert densify(upd).tolist() == [0.0, -96.0, 0.0, 0.0, 11.0]
+        top, rand = draw_support(SCORE, p, RngStream(1, 3))
+        assert top.tolist() == [4] and rand.tolist() == [1]
+        out = rtop(SCORE, Y, p, RngStream(1, 3))
+        assert out.tolist() == [0.0, -96.0, 0.0, 0.0, 11.0]
 
     def test_worked_example_support_distribution(self):
         p = SparsityParams(1, 1, 5)
@@ -189,13 +191,12 @@ class TestRtop:
             p = SparsityParams(k1, 5 - k1, 5)
             if p.k2 == 0 and k1 != 5:
                 continue
-            upd = rtop(SCORE, Y, p, rng)
-            assert np.array_equal(densify(upd), Y)
+            assert np.array_equal(rtop(SCORE, Y, p, rng), Y)
 
     def test_zero_vector_gives_zero_values(self):
         p = SparsityParams(2, 1, 5)
-        upd = rtop(SCORE, np.zeros(5), p, RngStream(6, 3))
-        assert np.all(upd.values == 0.0)
+        out = rtop(SCORE, np.zeros(5), p, RngStream(6, 3))
+        assert np.all(out == 0.0)
 
     def test_support_size_and_disjointness(self):
         rng = np.random.default_rng(9)
@@ -209,8 +210,6 @@ class TestRtop:
             top, rand = draw_support(score, p, stream)
             assert top.size == k1 and rand.size == k2
             assert len(set(top.tolist()) & set(rand.tolist())) == 0
-            upd = build_update(top, rand, p, rng.standard_normal(d))
-            assert len(upd) == k1 + k2
 
     @pytest.mark.parametrize("d, top, k2", [
         (12, [], 5),                          # k1 = 0
@@ -259,9 +258,9 @@ class TestRtop:
             y, z = rng.standard_normal(d), rng.standard_normal(d)
             a, b = rng.standard_normal(2)
             stream = RngStream(trial, 3)
-            combined = densify(rtop(score, a * y + b * z, p, stream))
-            left = densify(rtop(score, y, p, stream.replay()))
-            right = densify(rtop(score, z, p, stream.replay()))
+            combined = rtop(score, a * y + b * z, p, stream)
+            left = rtop(score, y, p, stream.replay())
+            right = rtop(score, z, p, stream.replay())
             np.testing.assert_allclose(combined, a * left + b * right,
                                        atol=1e-12)
 
@@ -279,8 +278,7 @@ class TestRtop:
             stream = RngStream(d, 3)
             acc = np.zeros(d)
             for _ in range(trials):
-                upd = rtop(score, y, p, stream)
-                acc[upd.indices] += upd.values
+                acc += rtop(score, y, p, stream)
             mean = acc / trials
             resid = top_neg_k1(score, y, k1)
             sd = np.sqrt((d - k1 - k2) / k2) * np.abs(resid)

@@ -1,80 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsevr.vecops import SparseUpdate, as_vector, axpy, densify, norm2_sq
-
-
-class TestSparseUpdate:
-    def test_valid_construction(self):
-        u = SparseUpdate(5, np.array([1, 4]), np.array([-96.0, 11.0]))
-        assert len(u) == 2
-
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(5, np.array([4, 1]), np.array([1.0, 2.0]))
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(5, np.array([2, 2]), np.array([1.0, 2.0]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(3, np.array([3]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            SparseUpdate(3, np.array([-1]), np.array([1.0]))
-
-    def test_rejects_too_many_entries(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(1, np.array([0, 1]), np.array([1.0, 2.0]))
-
-    def test_rejects_nonfinite_values(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(2, np.array([0]), np.array([np.nan]))
-
-    def test_from_pairs_sorts(self):
-        u = SparseUpdate.from_pairs(4, [(3, 1.0), (0, 2.0)])
-        assert u.indices.tolist() == [0, 3]
-        assert u.values.tolist() == [2.0, 1.0]
-
-
-class TestAxpy:
-    def test_single_entry_addition(self):
-        u = SparseUpdate(3, np.array([1]), np.array([2.0]))
-        out = axpy(1.0, u, np.zeros(3))
-        assert out.tolist() == [0.0, 2.0, 0.0]
-
-    def test_zero_scalar_is_identity(self):
-        u = SparseUpdate(2, np.array([0, 1]), np.array([9.0, -3.0]))
-        out = axpy(0.0, u, np.array([5.0, 6.0]))
-        assert out.tolist() == [5.0, 6.0]
-
-    def test_self_cancellation(self):
-        u = SparseUpdate(2, np.array([0, 1]), np.array([1.5, -2.0]))
-        out = axpy(-1.0, u, np.array([1.5, -2.0]))
-        assert out.tolist() == [0.0, 0.0]
-
-    def test_does_not_mutate_input(self):
-        y = np.array([1.0, 1.0])
-        axpy(1.0, SparseUpdate(2, np.array([0]), np.array([1.0])), y)
-        assert y.tolist() == [1.0, 1.0]
-
-    def test_dimension_mismatch(self):
-        u = SparseUpdate(3, np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            axpy(1.0, u, np.zeros(2))
-
-    def test_scalar_additivity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            d = int(rng.integers(1, 12))
-            k = int(rng.integers(0, d + 1))
-            idx = np.sort(rng.choice(d, size=k, replace=False))
-            u = SparseUpdate(d, idx, rng.standard_normal(k))
-            y = rng.standard_normal(d)
-            a, b = rng.standard_normal(2)
-            lhs = axpy(a, u, axpy(b, u, y))
-            rhs = axpy(a + b, u, y)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+from sparsevr.vecops import as_vector, norm2_sq
 
 
 class TestNorm2Sq:
@@ -97,45 +24,6 @@ class TestNorm2Sq:
             v = rng.standard_normal(int(rng.integers(1, 16)))
             if np.any(v != 0):
                 assert norm2_sq(v) > 0.0
-
-
-class TestDensify:
-    def test_worked_example_layout(self):
-        u = SparseUpdate(5, np.array([1, 4]), np.array([-96.0, 11.0]))
-        assert densify(u).tolist() == [0.0, -96.0, 0.0, 0.0, 11.0]
-
-    def test_empty_update(self):
-        assert densify(SparseUpdate(2, np.array([], dtype=np.int64),
-                                    np.array([]))).tolist() == [0.0, 0.0]
-
-    def test_single_dim(self):
-        assert densify(SparseUpdate(1, np.array([0]), np.array([7.0]))).tolist() == [7.0]
-
-    def test_nonzero_count_matches_entries(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = int(rng.integers(1, 20))
-            k = int(rng.integers(0, d + 1))
-            idx = np.sort(rng.choice(d, size=k, replace=False))
-            vals = rng.standard_normal(k)
-            vals[vals == 0] = 1.0
-            u = SparseUpdate(d, idx, vals)
-            assert np.count_nonzero(densify(u)) == k
-
-    def test_injective_on_canonical_updates(self):
-        rng = np.random.default_rng(4)
-        seen = {}
-        for _ in range(200):
-            d = 6
-            k = int(rng.integers(0, d + 1))
-            idx = np.sort(rng.choice(d, size=k, replace=False))
-            u = SparseUpdate(d, idx, rng.standard_normal(k))
-            key = densify(u).tobytes()
-            if key in seen:
-                prev = seen[key]
-                assert np.array_equal(prev.indices, u.indices)
-                assert np.array_equal(prev.values, u.values)
-            seen[key] = u
 
 
 class TestAsVector:
