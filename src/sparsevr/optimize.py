@@ -19,6 +19,11 @@ smallest one at its previous selection (see `draw_support`).  The dense
 baseline is the same loop at k1+k2 = d, where every block is the identity
 and the step uses the dense batch gradient.
 
+Diagnostics take one data pass per outer loop (and per SGD checkpoint):
+the fused `loss_grad_batch` when a gradient norm is recorded or targeted,
+`full_loss` otherwise.  Each row reports that time as `diag_ms`, which is
+part of its `wall_ms`.
+
 Also here: plain batch SGD, the exponential-moving-average memory
 update, and the two hyperparameter calculators.
 """
@@ -118,6 +123,7 @@ class RunRow:
     queries_over_n: float
     entropy: float | None
     wall_ms: float
+    diag_ms: float   # part of wall_ms: loss, gradient norm, entropy, capture
     g: float | None = None
     G: float | None = None
     R: float | None = None
@@ -246,6 +252,18 @@ def _check_loss(loss: float, ceiling: float, where: str) -> None:
         raise _Aborted(f"divergence: loss {loss:.3e} at {where}")
 
 
+def _loss_and_norm(problem: FiniteSumProblem, x: np.ndarray, want_norm: bool,
+                   ceiling: float, where: str):
+    """f(x), checked against the divergence ceiling, and ||grad f(x)|| when
+    `want_norm` (else None), from one pass over the data."""
+    if want_norm:
+        loss, grad = problem.loss_grad_batch(slice(None), x)
+    else:
+        loss, grad = problem.full_loss(x), None
+    _check_loss(loss, ceiling, where)
+    return loss, None if grad is None else float(np.linalg.norm(grad))
+
+
 def _abort(record: RunRecord, ab: _Aborted) -> None:
     record.aborted = True
     record.abort_reason = ab.reason
@@ -288,6 +306,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     # Each block's last top-k1 selection; it bounds the next one from below.
     tops = [None] * len(blocks)
 
+    want_norm = cfg.record_grad_norm or cfg.target_grad_norm is not None
     geom = GeomParams(cfg.m) if cfg.inner_mode == "geometric" else None
     out_index = out_rng.integers(1, cfg.T + 1) if cfg.output_mode == "uniform" else None
     x_stash = None
@@ -340,12 +359,9 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 memory = ema_update(memory, nu, cfg.alpha)
                 x = x_new
 
-            loss = prob.full_loss(x)
-            _check_loss(loss, loss_ceiling, f"outer loop {j}")
-
-            grad_norm = None
-            if cfg.record_grad_norm or cfg.target_grad_norm is not None:
-                grad_norm = float(np.linalg.norm(prob.full_grad(x)))
+            diag_tic = time.perf_counter()
+            loss, grad_norm = _loss_and_norm(prob, x, want_norm, loss_ceiling,
+                                             f"outer loop {j}")
             ent = entropy_bits(memory) if memory.sum() > 0 else None
 
             g_val = big_g_val = r_val = None
@@ -355,12 +371,13 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                                   rng=capture_rng)
                 g_val, big_g_val, r_val = cap.g, cap.G, cap.R
 
-            wall_ms = (time.perf_counter() - tic) * 1e3
+            toc = time.perf_counter()
             record.rows.append(RunRow(
                 j=j, n_inner=n_j, loss=loss, grad_norm=grad_norm,
                 units=meter.units_float(),
                 queries_over_n=meter.units_float() / n,
-                entropy=ent, wall_ms=wall_ms, g=g_val, G=big_g_val, R=r_val))
+                entropy=ent, wall_ms=(toc - tic) * 1e3,
+                diag_ms=(toc - diag_tic) * 1e3, g=g_val, G=big_g_val, R=r_val))
             if record.iterates is not None:
                 record.iterates.append(x.copy())
             if out_index is not None and j == out_index:
@@ -422,6 +439,7 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
     if record_every is None:
         record_every = max(1, steps // 100)
     steps_per_epoch = max(1, math.ceil(n / b))
+    want_norm = record_grad_norm or target_grad_norm is not None
 
     tic = time.perf_counter()
     try:
@@ -432,17 +450,16 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
             meter.charge_sgd(b)
             _guard_finite(x)
             if t % record_every == 0 or t == steps:
-                loss = problem.full_loss(x)
-                _check_loss(loss, loss_ceiling, f"step {t}")
-                grad_norm = None
-                if record_grad_norm or target_grad_norm is not None:
-                    grad_norm = float(np.linalg.norm(problem.full_grad(x)))
+                diag_tic = time.perf_counter()
+                loss, grad_norm = _loss_and_norm(problem, x, want_norm,
+                                                 loss_ceiling, f"step {t}")
+                toc = time.perf_counter()
                 record.rows.append(RunRow(
                     j=t, n_inner=1, loss=loss, grad_norm=grad_norm,
                     units=meter.units_float(),
                     queries_over_n=meter.units_float() / n,
-                    entropy=None,
-                    wall_ms=(time.perf_counter() - tic) * 1e3))
+                    entropy=None, wall_ms=(toc - tic) * 1e3,
+                    diag_ms=(toc - diag_tic) * 1e3))
                 tic = time.perf_counter()
                 if (target_grad_norm is not None and grad_norm is not None
                         and grad_norm <= target_grad_norm):

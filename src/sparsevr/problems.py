@@ -4,7 +4,13 @@ Each problem implements three kernels over a selection of components: the
 mean loss `loss_batch`, the mean gradient `grad_batch` and the per-component
 gradient matrix `grad_components`.  The base class derives component loss,
 full loss and full gradient from them; the full-data calls select with a
-slice, so they read the rows in place.  The restricted oracle returns only
+slice, so they read the rows in place.  The fused kernel `loss_grad_batch`
+returns the loss and the gradient together; its base-class default calls
+the two kernels, and every problem here overrides it to share their forward
+pass (the residual, the margins, the network's forward pass, the factor-row
+gather).  Each problem writes its loss formula and its gradient formula once,
+in private helpers that `loss_batch`, `grad_batch` and `loss_grad_batch` all
+call, so the fused values are the same bits as the separate ones.  The restricted oracle returns only
 the batch gradient's entries at the requested coordinates, taken from the
 same kernel as the batch gradient, so they agree bit for bit.  Its k/d cost
 is accounted by the optimizer's query meter; in wall-clock it still runs the
@@ -71,6 +77,14 @@ class FiniteSumProblem(abc.ABC):
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self.grad_batch(slice(None), x)
 
+    def loss_grad_batch(self, idx, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(loss_batch(idx, x), grad_batch(idx, x)), bit for bit.
+
+        A problem whose loss and gradient share a forward pass overrides this
+        to make that pass once.
+        """
+        return self.loss_batch(idx, x), self.grad_batch(idx, x)
+
     def grad_batch_restricted(self, idx: np.ndarray, x: np.ndarray,
                               coords: np.ndarray) -> np.ndarray:
         """Batch gradient entries at `coords`, in the order of `coords`.
@@ -109,22 +123,34 @@ class LeastSquaresProblem(FiniteSumProblem):
         self.A, self.b, self.ridge = A, b, float(ridge)
         self.n, self.d = A.shape
 
+    def _residual(self, idx, x):
+        """The rows in idx and their residuals A[idx] @ x - b[idx]."""
+        sub = self.A[idx]
+        return sub, sub @ x - self.b[idx]
+
+    def _loss(self, r, x):
+        return 0.5 * float(r @ r) / len(r) + 0.5 * self.ridge * float(x @ x)
+
+    def _grad(self, sub, r, x):
+        return sub.T @ r / len(r) + self.ridge * x
+
     def loss_batch(self, idx, x):
         x = as_vector(x, self.d)
-        r = self.A[idx] @ x - self.b[idx]
-        return 0.5 * float(r @ r) / len(r) + 0.5 * self.ridge * float(x @ x)
+        return self._loss(self._residual(idx, x)[1], x)
 
     def grad_components(self, idx, x):
         x = as_vector(x, self.d)
-        sub = self.A[idx]
-        r = sub @ x - self.b[idx]
+        sub, r = self._residual(idx, x)
         return sub * r[:, None] + self.ridge * x[None, :]
 
     def grad_batch(self, idx, x):
         x = as_vector(x, self.d)
-        sub = self.A[idx]
-        r = sub @ x - self.b[idx]
-        return sub.T @ r / len(r) + self.ridge * x
+        return self._grad(*self._residual(idx, x), x)
+
+    def loss_grad_batch(self, idx, x):
+        x = as_vector(x, self.d)
+        sub, r = self._residual(idx, x)
+        return self._loss(r, x), self._grad(sub, r, x)
 
     def smoothness_hint(self):
         return float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
@@ -161,22 +187,34 @@ class LogisticProblem(FiniteSumProblem):
     def _margins(self, idx, x):
         return self.y[idx] * (self.A[idx] @ x)
 
+    def _loss(self, z, x):
+        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.ridge * float(x @ x)
+
+    def _weights(self, idx, z):
+        """d loss_i / d (a_i.x) for the components in idx."""
+        return -self.y[idx] * _sigmoid(-z)
+
+    def _grad(self, idx, z, x):
+        w = self._weights(idx, z)
+        return self.A[idx].T @ w / len(w) + self.ridge * x
+
     def loss_batch(self, idx, x):
         x = as_vector(x, self.d)
-        z = self._margins(idx, x)
-        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.ridge * float(x @ x)
+        return self._loss(self._margins(idx, x), x)
 
     def grad_components(self, idx, x):
         x = as_vector(x, self.d)
-        z = self._margins(idx, x)
-        w = -self.y[idx] * _sigmoid(-z)
+        w = self._weights(idx, self._margins(idx, x))
         return self.A[idx] * w[:, None] + self.ridge * x[None, :]
 
     def grad_batch(self, idx, x):
         x = as_vector(x, self.d)
+        return self._grad(idx, self._margins(idx, x), x)
+
+    def loss_grad_batch(self, idx, x):
+        x = as_vector(x, self.d)
         z = self._margins(idx, x)
-        w = -self.y[idx] * _sigmoid(-z)
-        return self.A[idx].T @ w / len(w) + self.ridge * x
+        return self._loss(z, x), self._grad(idx, z, x)
 
     def smoothness_hint(self):
         return 0.25 * float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
@@ -255,11 +293,20 @@ class MLPProblem(FiniteSumProblem):
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
-    def _deltas(self, params, idx):
-        """Backprop error signals per layer for the given samples."""
+    def _forward_pass(self, idx, x):
+        """(params, activations, log-probabilities) for the samples in idx:
+        the one forward pass that the loss and the backprop both read."""
+        params = self._unpack(as_vector(x, self.d))
         acts = self._forward(params, self.X[idx])
-        probs = np.exp(self._log_softmax(acts[-1]))
-        delta = probs
+        return params, acts, self._log_softmax(acts[-1])
+
+    def _nll(self, idx, logp):
+        """Mean cross-entropy of the samples in idx."""
+        return float(-np.mean(logp[np.arange(len(logp)), self.labels[idx]]))
+
+    def _deltas(self, idx, params, acts, logp):
+        """Backprop error signals per layer for the given samples."""
+        delta = np.exp(logp)
         delta[np.arange(len(delta)), self.labels[idx]] -= 1.0
         deltas = [None] * len(params)
         deltas[-1] = delta
@@ -267,39 +314,41 @@ class MLPProblem(FiniteSumProblem):
             w_next = params[li + 1][0]
             z = acts[li + 1]
             deltas[li] = (deltas[li + 1] @ w_next.T) * z * (1.0 - z)
-        return acts, deltas
+        return deltas
 
-    def loss_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        params = self._unpack(x)
-        acts = self._forward(params, self.X[idx])
-        logp = self._log_softmax(acts[-1])
-        return float(-np.mean(logp[np.arange(len(logp)), self.labels[idx]]))
-
-    def _layer_grads(self, idx, x):
+    def _layer_grads(self, idx, params, acts, logp):
         """Per layer (w_lo, b_lo, weight-gradient sum, bias-gradient sum) over
         the samples in idx, and the 1/len(idx) that turns sums into means."""
-        x = as_vector(x, self.d)
-        params = self._unpack(x)
-        acts, deltas = self._deltas(params, idx)
+        deltas = self._deltas(idx, params, acts, logp)
         sums = [(w_lo, b_lo, (acts[li].T @ deltas[li]).ravel(),
                  deltas[li].sum(axis=0))
                 for li, (w_lo, _, b_lo, _, _, _) in enumerate(self._layout)]
         return sums, 1.0 / len(deltas[-1])
 
-    def grad_batch(self, idx, x):
-        sums, scale = self._layer_grads(idx, x)
+    def _mean_grad(self, sums, scale):
+        """The d-length mean gradient from the per-layer sums."""
         out = np.zeros(self.d)
         for w_lo, b_lo, gw, gb in sums:
             np.multiply(gw, scale, out=out[w_lo:b_lo])
             np.multiply(gb, scale, out=out[b_lo:b_lo + gb.size])
         return out
 
+    def loss_batch(self, idx, x):
+        return self._nll(idx, self._forward_pass(idx, x)[2])
+
+    def grad_batch(self, idx, x):
+        return self._mean_grad(*self._layer_grads(idx, *self._forward_pass(idx, x)))
+
+    def loss_grad_batch(self, idx, x):
+        fwd = self._forward_pass(idx, x)
+        return (self._nll(idx, fwd[2]),
+                self._mean_grad(*self._layer_grads(idx, *fwd)))
+
     def grad_batch_restricted(self, idx, x, coords):
         """Scales only the entries at `coords` of the per-layer sums that
         grad_batch scales in full, so the values are the same bits."""
         coords = np.asarray(coords)
-        sums, scale = self._layer_grads(idx, x)
+        sums, scale = self._layer_grads(idx, *self._forward_pass(idx, x))
         out = np.empty(coords.size)
         for w_lo, b_lo, gw, gb in sums:
             for lo, g in ((w_lo, gw), (b_lo, gb)):
@@ -308,9 +357,8 @@ class MLPProblem(FiniteSumProblem):
         return out
 
     def grad_components(self, idx, x):
-        x = as_vector(x, self.d)
-        params = self._unpack(x)
-        acts, deltas = self._deltas(params, idx)
+        params, acts, logp = self._forward_pass(idx, x)
+        deltas = self._deltas(idx, params, acts, logp)
         out = np.zeros((len(idx), self.d))
         for li, (w_lo, w_hi, b_lo, b_hi, nin, nout) in enumerate(self._layout):
             per = np.einsum("bi,bj->bij", acts[li], deltas[li])
@@ -363,26 +411,39 @@ class MatrixFactorizationProblem(FiniteSumProblem):
         qc = self.n_rows * r + v[:, None] * r + np.arange(r)[None, :]
         return pc, qc
 
-    def _component_grads(self, idx, x):
-        """Coordinates (pc, qc) and values (gp, gq) of each component gradient."""
-        p, q = self._factors(x)
+    def _gather(self, idx, x):
+        """Rows u, columns v, factor rows P_u, Q_v and residuals
+        P_u.Q_v - R_uv of the components in idx."""
+        p, q = self._factors(as_vector(x, self.d))
         u, v = self.rows[idx], self.cols[idx]
         pu, qv = p[u], q[v]
-        e = np.sum(pu * qv, axis=1) - self.vals[idx]
+        return u, v, pu, qv, np.sum(pu * qv, axis=1) - self.vals[idx]
+
+    def _loss(self, gathered):
+        _, _, pu, qv, e = gathered
+        reg = 0.5 * self.ridge * (np.sum(pu * pu, axis=1) + np.sum(qv * qv, axis=1))
+        return float(np.mean(0.5 * e * e + reg))
+
+    def _component_grads(self, gathered):
+        """Coordinates (pc, qc) and values (gp, gq) of each component gradient."""
+        u, v, pu, qv, e = gathered
         gp = e[:, None] * qv + self.ridge * pu
         gq = e[:, None] * pu + self.ridge * qv
         return (*self._coords(u, v), gp, gq)
 
+    def _grad(self, gathered):
+        pc, qc, gp, gq = self._component_grads(gathered)
+        out = np.zeros(self.d)
+        # duplicate (u, v) rows in a batch must accumulate
+        np.add.at(out, pc.ravel(), gp.ravel())
+        np.add.at(out, qc.ravel(), gq.ravel())
+        return out / len(gp)
+
     def loss_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        p, q = self._factors(x)
-        pu, qv = p[self.rows[idx]], q[self.cols[idx]]
-        e = np.sum(pu * qv, axis=1) - self.vals[idx]
-        reg = 0.5 * self.ridge * (np.sum(pu * pu, axis=1) + np.sum(qv * qv, axis=1))
-        return float(np.mean(0.5 * e * e + reg))
+        return self._loss(self._gather(idx, x))
 
     def grad_components(self, idx, x):
-        pc, qc, gp, gq = self._component_grads(idx, as_vector(x, self.d))
+        pc, qc, gp, gq = self._component_grads(self._gather(idx, x))
         out = np.zeros((len(gp), self.d))
         rowsel = np.arange(len(gp))[:, None]
         out[rowsel, pc] = gp
@@ -390,12 +451,11 @@ class MatrixFactorizationProblem(FiniteSumProblem):
         return out
 
     def grad_batch(self, idx, x):
-        pc, qc, gp, gq = self._component_grads(idx, as_vector(x, self.d))
-        out = np.zeros(self.d)
-        # duplicate (u, v) rows in a batch must accumulate
-        np.add.at(out, pc.ravel(), gp.ravel())
-        np.add.at(out, qc.ravel(), gq.ravel())
-        return out / len(gp)
+        return self._grad(self._gather(idx, x))
+
+    def loss_grad_batch(self, idx, x):
+        gathered = self._gather(idx, x)
+        return self._loss(gathered), self._grad(gathered)
 
 
 @dataclass(frozen=True)
@@ -467,13 +527,12 @@ def estimate_constants(problem: FiniteSumProblem, probe_points,
         lip = 1.0
 
     ref = problem.reference_minimum() if reference is _SOLVE else reference
-    if ref is not None:
-        _, f_star = ref
-        exact = True
-    else:
-        f_star = min(problem.full_loss(x) for x in probes)
-        exact = False
-    delta_f = max(problem.full_loss(probes[0]) - f_star, 0.0)
+    exact = ref is not None
+    # f at every probe when the best probed value stands in for f*, else at
+    # the first probe only; each value is computed once.
+    losses = [problem.full_loss(x) for x in (probes[:1] if exact else probes)]
+    f_star = ref[1] if exact else min(losses)
+    delta_f = max(losses[0] - f_star, 0.0)
     return ProblemConstants(L=float(lip), sigma2=float(sigma2),
                             delta_f=float(delta_f), f_star=float(f_star),
                             f_star_exact=exact)

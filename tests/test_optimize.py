@@ -11,9 +11,9 @@ from sparsevr.optimize import (HyperparamInputs, RunConfig,
                                data_adaptive_hyperparams, ema_update, run_sgd,
                                run_sparse_spiderboost, run_spiderboost_dense,
                                worst_case_hyperparams)
-from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
-                               MatrixFactorizationProblem, MLPProblem,
-                               ProblemConstants, gen_class_blobs,
+from sparsevr.problems import (FiniteSumProblem, LeastSquaresProblem,
+                               LogisticProblem, MatrixFactorizationProblem,
+                               MLPProblem, ProblemConstants, gen_class_blobs,
                                gen_gaussian_ls, gen_logistic_blobs,
                                gen_low_rank_ratings, gen_planted_ls)
 from sparsevr import optimize, sparsity
@@ -403,6 +403,91 @@ class TestTopK1FromPrevious:
             run_sparse_spiderboost(cfg)
         _, record = run_sparse_spiderboost(replace(cfg, debug_check_restricted=False))
         assert not record.aborted
+
+
+def count_diagnostic_calls(monkeypatch, prob):
+    """Wrap the problem's full-data oracles; returns the list of calls they
+    log, as (name, idx) with idx recorded for the fused oracle only."""
+    calls = []
+
+    def wrapped(name, method):
+        def counted(*args):
+            calls.append((name, args[0] if name == "loss_grad_batch" else None))
+            return method(*args)
+        return counted
+
+    for name in ("loss_grad_batch", "full_grad", "full_loss"):
+        monkeypatch.setattr(prob, name, wrapped(name, getattr(prob, name)))
+    return calls
+
+
+def trajectory(x, rec):
+    return (x.tobytes(), rec.meter.units, rec.aborted, rec.abort_reason,
+            [(r.loss, r.grad_norm, r.entropy) for r in rec.rows])
+
+
+def unfused(monkeypatch, prob):
+    """Give the problem's class the base-class loss_grad_batch, which calls
+    loss_batch and grad_batch separately."""
+    monkeypatch.setattr(type(prob), "loss_grad_batch",
+                        FiniteSumProblem.loss_grad_batch)
+
+
+class TestDiagnosticsTakeOnePass:
+    """With a gradient norm, each outer loop (or SGD checkpoint) makes one
+    fused loss_grad_batch call over all components and no full_grad call;
+    the trajectory is that of separate loss and gradient kernels."""
+
+    @pytest.mark.parametrize("algorithm", ["sparse", "dense", "sgd"])
+    @pytest.mark.parametrize("case", range(4))
+    def test_one_fused_call_per_row(self, monkeypatch, case, algorithm):
+        _, k1, k2 = selection_problems()[case]
+
+        def run(prob, record_grad_norm):
+            x0 = 0.3 * np.random.default_rng(50).standard_normal(prob.d)
+            if algorithm == "sgd":
+                return run_sgd(eta=0.05, b=3, steps=12, problem=prob, seed=4,
+                               x0=x0, record_every=4,
+                               record_grad_norm=record_grad_norm)
+            cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3,
+                            B=min(12, prob.n), b=min(3, prob.n), k1=k1,
+                            k2=k2, seed=3, x0=x0,
+                            record_grad_norm=record_grad_norm)
+            if algorithm == "dense":
+                return run_spiderboost_dense(cfg)
+            return run_sparse_spiderboost(cfg)
+
+        prob = selection_problems()[case][0]
+        calls = count_diagnostic_calls(monkeypatch, prob)
+        x, rec = run(prob, True)
+        assert len(rec.rows) == 3
+        assert calls == ([("full_loss", None)]
+                         + [("loss_grad_batch", slice(None))] * 3)
+        calls.clear()
+        _, quiet = run(prob, False)
+        assert calls == [("full_loss", None)] * 4
+        assert all(0.0 <= r.diag_ms <= r.wall_ms for r in rec.rows + quiet.rows)
+
+        ref_prob = selection_problems()[case][0]
+        unfused(monkeypatch, ref_prob)
+        assert trajectory(x, rec) == trajectory(*run(ref_prob, True))
+
+    def test_divergent_runs_abort_alike(self, monkeypatch):
+        # TestDivergenceGuard's runs, with the gradient norm recorded
+        a, b, _ = gen_gaussian_ls(20, 5, seed=22)
+        cfg = RunConfig(problem=LeastSquaresProblem(a, b), eta=1e6, m=20,
+                        T=10, B=8, b=4, k1=2, k2=2, seed=5,
+                        record_grad_norm=True)
+        a2, b2, _ = gen_gaussian_ls(20, 5, seed=23)
+        sgd = dict(eta=1e8, b=4, steps=200, problem=LeastSquaresProblem(a2, b2),
+                   seed=6, record_every=1, record_grad_norm=True)
+        fused = [trajectory(*run_sparse_spiderboost(cfg)),
+                 trajectory(*run_sgd(**sgd))]
+        unfused(monkeypatch, cfg.problem)
+        separate = [trajectory(*run_sparse_spiderboost(cfg)),
+                    trajectory(*run_sgd(**sgd))]
+        assert fused == separate
+        assert all(t[2] and t[3].startswith("divergence") for t in fused)
 
 
 class TestBlockAllocation:

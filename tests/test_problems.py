@@ -273,6 +273,26 @@ class TestOracleConsistency:
                 == problem.component_loss(problem.n - 1, x))
 
 
+class TestFusedOracle:
+    """loss_grad_batch(idx, x) is (loss_batch(idx, x), grad_batch(idx, x)),
+    bit for bit, for every kind of selection."""
+
+    @pytest.mark.parametrize("problem", all_desk_problems(),
+                             ids=lambda p: type(p).__name__)
+    def test_equals_separate_kernels(self, problem):
+        rng = np.random.default_rng(47)
+        x = 0.5 * rng.standard_normal(problem.d)
+        selections = [slice(None),
+                      np.sort(rng.choice(problem.n, size=5, replace=False)),
+                      np.array([problem.n - 2])]
+        if isinstance(problem, MatrixFactorizationProblem):
+            selections.append(np.array([1, 4, 4, 0, 1, 4]))
+        for idx in selections:
+            loss, grad = problem.loss_grad_batch(idx, x)
+            assert loss == problem.loss_batch(idx, x)
+            assert np.array_equal(grad, problem.grad_batch(idx, x))
+
+
 class TestRejectsNonFiniteData:
     def test_least_squares(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
@@ -338,6 +358,25 @@ class TestEstimateConstants:
         consts = estimate_constants(p, [np.zeros(4)])
         assert consts.f_star_exact
         assert consts.delta_f >= 0.0
+
+    def test_each_probe_loss_is_computed_once(self, monkeypatch):
+        xs, labs = gen_class_blobs(30, 4, 3, seed=48)
+        p = MLPProblem([4, 5, 3], xs, labs)
+        rng = np.random.default_rng(49)
+        probes = [0.3 * rng.standard_normal(p.d) for _ in range(3)]
+        losses = [p.full_loss(x) for x in probes]
+        calls = []
+        real = p.full_loss
+        monkeypatch.setattr(p, "full_loss", lambda x: calls.append(1) or real(x))
+        consts = estimate_constants(p, probes)
+        assert len(calls) == len(probes)
+        assert not consts.f_star_exact
+        assert consts.f_star == min(losses)
+        assert consts.delta_f == max(losses[0] - min(losses), 0.0)
+        calls.clear()
+        consts = estimate_constants(p, probes, reference=(probes[2], losses[2]))
+        assert len(calls) == 1
+        assert consts.delta_f == max(losses[0] - losses[2], 0.0)
 
     def test_power_iteration_fallback(self):
         rows, cols, vals, _, _ = gen_low_rank_ratings(4, 4, 2, seed=35,
