@@ -103,10 +103,13 @@ class SparsityCapture:
 
 def measure_g_G(problem, memory: np.ndarray, x_next: np.ndarray,
                 x_prev: np.ndarray, k1: int, b: int,
-                rng=None, max_components: int = 10_000) -> SparsityCapture:
+                rng=None, max_components: int = 10_000,
+                grad_prev: np.ndarray | None = None) -> SparsityCapture:
     """Measure g, G and R = g + G/b for one (x_prev -> x_next) transition.
 
-    g uses the full gradient difference; G sweeps all components when
+    g uses the full gradient difference; a caller that already holds
+    full_grad(x_prev) passes it as `grad_prev` and saves one full-data
+    pass.  G sweeps all components when
     n <= max_components, otherwise a uniform subsample drawn from `rng`
     (the subsample size is recorded in the result).  g <= G holds exactly
     for a full sweep and is enforced up to float roundoff.
@@ -119,7 +122,9 @@ def measure_g_G(problem, memory: np.ndarray, x_next: np.ndarray,
     keep = np.ones(problem.d, dtype=bool)
     keep[select_top_k1(memory, k1)] = False
 
-    diff_full = problem.full_grad(x_next) - problem.full_grad(x_prev)
+    if grad_prev is None:
+        grad_prev = problem.full_grad(x_prev)
+    diff_full = problem.full_grad(x_next) - grad_prev
     g = float(np.sum(diff_full[keep] ** 2))
 
     n = problem.n

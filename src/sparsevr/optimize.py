@@ -21,7 +21,8 @@ and the step uses the dense batch gradient.
 
 Diagnostics take one data pass per outer loop (and per SGD checkpoint):
 the fused `loss_grad_batch` when a gradient norm is recorded or targeted,
-`full_loss` otherwise.  Each row reports that time as `diag_ms`, which is
+`full_loss` otherwise; a capture probe reuses the fused gradient at the
+outer-loop iterate.  Each row reports that time as `diag_ms`, which is
 part of its `wall_ms`.
 
 Also here: plain batch SGD, the exponential-moving-average memory
@@ -254,14 +255,15 @@ def _check_loss(loss: float, ceiling: float, where: str) -> None:
 
 def _loss_and_norm(problem: FiniteSumProblem, x: np.ndarray, want_norm: bool,
                    ceiling: float, where: str):
-    """f(x), checked against the divergence ceiling, and ||grad f(x)|| when
-    `want_norm` (else None), from one pass over the data."""
+    """f(x), checked against the divergence ceiling, then ||grad f(x)|| and
+    grad f(x) when `want_norm` (else None, None), from one pass over the
+    data."""
     if want_norm:
         loss, grad = problem.loss_grad_batch(slice(None), x)
     else:
         loss, grad = problem.full_loss(x), None
     _check_loss(loss, ceiling, where)
-    return loss, None if grad is None else float(np.linalg.norm(grad))
+    return loss, None if grad is None else float(np.linalg.norm(grad)), grad
 
 
 def _abort(record: RunRecord, ab: _Aborted) -> None:
@@ -360,15 +362,15 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 x = x_new
 
             diag_tic = time.perf_counter()
-            loss, grad_norm = _loss_and_norm(prob, x, want_norm, loss_ceiling,
-                                             f"outer loop {j}")
+            loss, grad_norm, grad = _loss_and_norm(prob, x, want_norm,
+                                                   loss_ceiling, f"outer loop {j}")
             ent = entropy_bits(memory) if memory.sum() > 0 else None
 
             g_val = big_g_val = r_val = None
             if cfg.record_capture:
                 x_virtual = x - _inner_eta(cfg, n_j) * nu
                 cap = measure_g_G(prob, memory, x_virtual, x, cfg.k1, cfg.b,
-                                  rng=capture_rng)
+                                  rng=capture_rng, grad_prev=grad)
                 g_val, big_g_val, r_val = cap.g, cap.G, cap.R
 
             toc = time.perf_counter()
@@ -451,8 +453,8 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
             _guard_finite(x)
             if t % record_every == 0 or t == steps:
                 diag_tic = time.perf_counter()
-                loss, grad_norm = _loss_and_norm(problem, x, want_norm,
-                                                 loss_ceiling, f"step {t}")
+                loss, grad_norm, _ = _loss_and_norm(problem, x, want_norm,
+                                                    loss_ceiling, f"step {t}")
                 toc = time.perf_counter()
                 record.rows.append(RunRow(
                     j=t, n_inner=1, loss=loss, grad_norm=grad_norm,

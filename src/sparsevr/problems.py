@@ -14,7 +14,9 @@ call, so the fused values are the same bits as the separate ones.  The restricte
 the batch gradient's entries at the requested coordinates, taken from the
 same kernel as the batch gradient, so they agree bit for bit.  Its k/d cost
 is accounted by the optimizer's query meter; in wall-clock it still runs the
-dense backprop, and the network's version skips only the d-length output.
+dense backprop.  The network's version gathers its k entries from the one
+d-length gradient sum that the batch gradient scales in full, and scales
+only those.
 
 Also here: closed-form or estimated problem constants (smoothness L,
 gradient second-moment bound sigma^2, initial suboptimality delta_f),
@@ -32,14 +34,18 @@ import numpy as np
 from .vecops import as_vector
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable in both tails.
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)): stable in
+    both tails.  Both branches are e / (1 + e) with e = exp(-|z|) taken over
+    the whole array, and the numerator e set to 1 where z >= 0, so there is
+    no masked gather or scatter; `out` may be `z` itself."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, den, out=e)
 
 
 def _require_finite(*arrays) -> None:
@@ -239,7 +245,9 @@ class MLPProblem(FiniteSumProblem):
     Parameters are flattened layer by layer (weights then bias) into one
     vector; `param_blocks` exposes the per-layer ranges so the optimizer
     can split its sparsity budget across layers.  Backprop is written by
-    hand on numpy.
+    hand on numpy, in place where it can be: each layer's weight and bias
+    sums go straight into one d-length vector, which the batch gradients
+    scale in place and the restricted oracle gathers from.
     """
 
     def __init__(self, layer_sizes, X: np.ndarray, labels: np.ndarray):
@@ -283,8 +291,10 @@ class MLPProblem(FiniteSumProblem):
         acts = [xb]
         z = xb
         for li, (w, b) in enumerate(params):
-            a = z @ w + b
-            z = a if li == len(params) - 1 else _sigmoid(a)
+            z = z @ w
+            z += b
+            if li < len(params) - 1:
+                _sigmoid(z, out=z)
             acts.append(z)
         return acts
 
@@ -313,47 +323,45 @@ class MLPProblem(FiniteSumProblem):
         for li in range(len(params) - 2, -1, -1):
             w_next = params[li + 1][0]
             z = acts[li + 1]
-            deltas[li] = (deltas[li + 1] @ w_next.T) * z * (1.0 - z)
+            # (delta @ W.T) * z * (1 - z), left to right, in place
+            t = deltas[li + 1] @ w_next.T
+            t *= z
+            t *= 1.0 - z
+            deltas[li] = t
         return deltas
 
-    def _layer_grads(self, idx, params, acts, logp):
-        """Per layer (w_lo, b_lo, weight-gradient sum, bias-gradient sum) over
-        the samples in idx, and the 1/len(idx) that turns sums into means."""
+    def _grad_sum(self, idx, params, acts, logp):
+        """The d-length gradient summed over the samples in idx, each layer's
+        weight and bias sums written in place, and the 1/len(idx) that turns
+        the sum into the mean."""
         deltas = self._deltas(idx, params, acts, logp)
-        sums = [(w_lo, b_lo, (acts[li].T @ deltas[li]).ravel(),
-                 deltas[li].sum(axis=0))
-                for li, (w_lo, _, b_lo, _, _, _) in enumerate(self._layout)]
-        return sums, 1.0 / len(deltas[-1])
-
-    def _mean_grad(self, sums, scale):
-        """The d-length mean gradient from the per-layer sums."""
-        out = np.zeros(self.d)
-        for w_lo, b_lo, gw, gb in sums:
-            np.multiply(gw, scale, out=out[w_lo:b_lo])
-            np.multiply(gb, scale, out=out[b_lo:b_lo + gb.size])
-        return out
+        g = np.empty(self.d)
+        for (w_lo, w_hi, b_lo, b_hi, nin, nout), a, delta in zip(
+                self._layout, acts, deltas):
+            np.matmul(a.T, delta, out=g[w_lo:w_hi].reshape(nin, nout))
+            np.sum(delta, axis=0, out=g[b_lo:b_hi])
+        return g, 1.0 / len(deltas[-1])
 
     def loss_batch(self, idx, x):
         return self._nll(idx, self._forward_pass(idx, x)[2])
 
     def grad_batch(self, idx, x):
-        return self._mean_grad(*self._layer_grads(idx, *self._forward_pass(idx, x)))
+        g, scale = self._grad_sum(idx, *self._forward_pass(idx, x))
+        g *= scale
+        return g
 
     def loss_grad_batch(self, idx, x):
         fwd = self._forward_pass(idx, x)
-        return (self._nll(idx, fwd[2]),
-                self._mean_grad(*self._layer_grads(idx, *fwd)))
+        g, scale = self._grad_sum(idx, *fwd)
+        g *= scale
+        return self._nll(idx, fwd[2]), g
 
     def grad_batch_restricted(self, idx, x, coords):
-        """Scales only the entries at `coords` of the per-layer sums that
-        grad_batch scales in full, so the values are the same bits."""
-        coords = np.asarray(coords)
-        sums, scale = self._layer_grads(idx, *self._forward_pass(idx, x))
-        out = np.empty(coords.size)
-        for w_lo, b_lo, gw, gb in sums:
-            for lo, g in ((w_lo, gw), (b_lo, gb)):
-                at = np.flatnonzero((coords >= lo) & (coords < lo + g.size))
-                out[at] = g[coords[at] - lo] * scale
+        """Scales only the entries at `coords` of the sum that grad_batch
+        scales in full, so the values are the same bits."""
+        g, scale = self._grad_sum(idx, *self._forward_pass(idx, x))
+        out = g[coords]
+        out *= scale
         return out
 
     def grad_components(self, idx, x):

@@ -67,10 +67,14 @@ class RngStream:
         draws come from a single vectorized call, so uniformity is exact
         and the draw count is `size` (zero when size == n or size == 0).
         The swaps are resolved in O(size log size) work without building
-        the length-n index array; see `_resolve_swaps`.
+        the length-n index array; see `_resolve_swaps`.  Raises ValueError
+        when n*size >= 2**63, where its int64 sort keys would overflow.
         """
         if size < 0 or size > n:
             raise ValueError(f"subset size {size} out of range for n={n}")
+        if int(n) * int(size) >= 2**63:
+            raise ValueError(f"n={n} times size={size} overflows the int64 "
+                             "sort keys of the swap resolution")
         if size == n:
             return np.arange(n, dtype=np.int64)
         if size == 0:
@@ -93,20 +97,25 @@ class RngStream:
 def _resolve_swaps(j: np.ndarray) -> np.ndarray:
     """First len(j) entries of arange(n) after the swaps (i, j[i]), i = 0, 1, ...
 
-    Needs i <= j[i] < n.  Step i fixes position i for good with the value
-    then at j[i].  Only earlier steps that also targeted j[i] wrote there,
-    so that value is j[i] itself, or else what the latest such step t moved
-    there: the value position t held before step t.  That is t, unless an
-    earlier step targeted t, and so on down a chain of decreasing steps,
-    which pointer jumping resolves in O(log len(j)) vectorized rounds.
+    Needs i <= j[i] < n and n*len(j) < 2**63.  Step i fixes position i for
+    good with the value then at j[i].  Only earlier steps that also targeted
+    j[i] wrote there, so that value is j[i] itself, or else what the latest
+    such step t moved there: the value position t held before step t.  That
+    is t, unless an earlier step targeted t, and so on down a chain of
+    decreasing steps, which pointer jumping resolves in O(log len(j))
+    vectorized rounds.
     """
     size = j.size
     steps = np.arange(size)
     # Group the steps by target, in step order within a group; "latest
     # earlier" comes from this order, never from the order in which a
-    # fancy assignment with repeated indices would be applied.
-    order = np.lexsort((steps, j))
-    by_target = j[order]
+    # fancy assignment with repeated indices would be applied.  The keys
+    # j*size + step are distinct and ordered by (target, step), so one
+    # plain sort of them gives that order.
+    key = j * size + steps
+    key.sort()
+    order = key % size
+    by_target = key // size
     same = by_target[1:] == by_target[:-1]
     if not same.any():   # no step reads a value another step moved
         return j

@@ -490,6 +490,29 @@ class TestDiagnosticsTakeOnePass:
         assert all(t[2] and t[3].startswith("divergence") for t in fused)
 
 
+class TestCaptureReusesTheFusedGradient:
+    def test_one_full_grad_per_outer_loop(self, monkeypatch):
+        a, b, _ = gen_planted_ls(400, 30, 4, seed=8)
+        prob = LeastSquaresProblem(a, b)
+        cfg = RunConfig(problem=prob, eta=0.3, m=5, T=3, B=100, b=5, k1=3,
+                        k2=3, seed=4, record_capture=True,
+                        record_grad_norm=True)
+        calls = count_diagnostic_calls(monkeypatch, prob)
+        x, rec = run_sparse_spiderboost(cfg)
+        assert len(rec.rows) == 3
+        # one at each outer loop's look-ahead point x - eta*nu
+        assert [name for name, _ in calls].count("full_grad") == 3
+        # a probe that differentiates the outer-loop iterate itself again
+        calls.clear()
+        monkeypatch.setattr(optimize, "measure_g_G",
+                            lambda *args, grad_prev, **kw: measure_g_G(*args, **kw))
+        x_again, again = run_sparse_spiderboost(cfg)
+        assert [name for name, _ in calls].count("full_grad") == 6
+        assert ([(r.g, r.G, r.R) for r in rec.rows]
+                == [(r.g, r.G, r.R) for r in again.rows])
+        assert trajectory(x, rec) == trajectory(x_again, again)
+
+
 class TestBlockAllocation:
     def test_totals_and_validity(self):
         rng = np.random.default_rng(18)

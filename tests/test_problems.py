@@ -12,6 +12,7 @@ from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
                                gen_low_rank_ratings, gen_planted_ls,
                                load_labeled_dataset, load_ratings_dataset,
                                save_labeled_dataset, save_ratings_dataset)
+from sparsevr.problems import _sigmoid
 
 
 def all_desk_problems():
@@ -168,6 +169,112 @@ class TestMLP:
             MLPProblem([3, 2, 2], np.zeros((4, 5)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
             MLPProblem([3, 2], np.zeros((4, 3)), np.zeros(4, dtype=int))
+
+
+def masked_sigmoid(z):
+    """The masked-gather sigmoid that `_sigmoid` replaced, kept as the
+    reference for its bits."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def per_layer_mlp(p, idx, x, coords=None):
+    """The MLP oracle as it was before the one-buffer kernels, kept as the
+    reference for their bits: masked sigmoid, `z @ w + b`, deltas
+    `(G @ W.T) * z * (1 - z)`, per-layer sums copied piece by piece into a
+    fresh zeros(d), and, for `coords`, one mask pass per piece.  Returns
+    (loss, gradient), or the gradient's values at `coords`."""
+    params = [(x[w_lo:w_hi].reshape(nin, nout), x[b_lo:b_hi])
+              for w_lo, w_hi, b_lo, b_hi, nin, nout in p._layout]
+    acts = [p.X[idx]]
+    for li, (w, b) in enumerate(params):
+        a = acts[-1] @ w + b
+        acts.append(a if li == len(params) - 1 else masked_sigmoid(a))
+    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    rows = np.arange(len(logp))
+    loss = float(-np.mean(logp[rows, p.labels[idx]]))
+    deltas = [None] * len(params)
+    deltas[-1] = np.exp(logp)
+    deltas[-1][rows, p.labels[idx]] -= 1.0
+    for li in range(len(params) - 2, -1, -1):
+        z = acts[li + 1]
+        deltas[li] = (deltas[li + 1] @ params[li + 1][0].T) * z * (1.0 - z)
+    sums = [(w_lo, b_lo, (acts[li].T @ deltas[li]).ravel(),
+             deltas[li].sum(axis=0))
+            for li, (w_lo, _, b_lo, _, _, _) in enumerate(p._layout)]
+    scale = 1.0 / len(rows)
+    if coords is None:
+        grad = np.zeros(p.d)
+        for w_lo, b_lo, gw, gb in sums:
+            np.multiply(gw, scale, out=grad[w_lo:b_lo])
+            np.multiply(gb, scale, out=grad[b_lo:b_lo + gb.size])
+        return loss, grad
+    out = np.empty(coords.size)
+    for w_lo, b_lo, gw, gb in sums:
+        for lo, g in ((w_lo, gw), (b_lo, gb)):
+            at = np.flatnonzero((coords >= lo) & (coords < lo + g.size))
+            out[at] = g[coords[at] - lo] * scale
+    return out
+
+
+def block_order_coords(p, rng, per_block):
+    """Coordinates as the sparse loop passes them: per parameter block, a
+    sorted "top" set, then a sorted disjoint "random" set."""
+    parts = []
+    for lo, hi in p.param_blocks():
+        pick = rng.choice(hi - lo, size=min(2 * per_block, hi - lo), replace=False)
+        half = pick.size // 2
+        parts += [lo + np.sort(pick[:half]), lo + np.sort(pick[half:])]
+    return np.concatenate(parts)
+
+
+class TestSameBitsAsTheMaskedKernels:
+    """The branch-free sigmoid and the one-buffer MLP kernels give the bits
+    of the formulations they replaced."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0,
+               1e308, -1e308, 709.78, -709.78, 36.8, -36.8, 5e-324, -5e-324]
+
+    def test_sigmoid_sweep(self):
+        rng = np.random.default_rng(48)
+        chunks = [np.array(self.SPECIAL)]
+        for exponent in range(-10, 7):   # 17 scales x 300,000 values
+            chunks.append(rng.standard_normal(300_000) * 10.0 ** exponent)
+        with np.errstate(over="raise", invalid="raise"):
+            for z in chunks:
+                want = masked_sigmoid(z)
+                assert _sigmoid(z).tobytes() == want.tobytes()
+                aliased = z.copy()
+                assert _sigmoid(aliased, out=aliased) is aliased
+                assert aliased.tobytes() == want.tobytes()
+            block = chunks[5][:2560].reshape(10, 256)   # a hidden layer's shape
+            assert _sigmoid(block).tobytes() == masked_sigmoid(block).tobytes()
+
+    @pytest.mark.parametrize("layers", [[6, 9, 4], [6, 9, 7, 4]],
+                             ids=["one-hidden", "two-hidden"])
+    @pytest.mark.parametrize("b", [1, 10, 40])
+    def test_mlp_oracles(self, layers, b):
+        xs, labs = gen_class_blobs(40, 6, 4, seed=49)
+        p = MLPProblem(layers, xs, labs)
+        rng = np.random.default_rng(50 + b)
+        for trial in range(5):
+            # large weights put hidden units in both tails of the sigmoid
+            x = (0.5 + trial) * rng.standard_normal(p.d)
+            idx = (slice(None) if b == p.n else
+                   np.sort(rng.choice(p.n, size=b, replace=False)))
+            loss, grad = per_layer_mlp(p, idx, x)
+            fused_loss, fused_grad = p.loss_grad_batch(idx, x)
+            assert fused_loss == loss
+            assert fused_grad.tobytes() == grad.tobytes()
+            assert p.grad_batch(idx, x).tobytes() == grad.tobytes()
+            coords = block_order_coords(p, rng, per_block=3)
+            assert (p.grad_batch_restricted(idx, x, coords).tobytes()
+                    == per_layer_mlp(p, idx, x, coords).tobytes())
 
 
 class TestMatrixFactorization:

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sparsevr.sampling import (GeomParams, RngStream, check_geom_lemma,
-                               draw_geometric, draw_geometric_many,
-                               sample_batch)
+from sparsevr.sampling import (GeomParams, RngStream, _resolve_swaps,
+                               check_geom_lemma, draw_geometric,
+                               draw_geometric_many, sample_batch)
 
 
 def reference_subset(stream, n, size):
@@ -20,6 +20,30 @@ def reference_subset(stream, n, size):
     sel = arr[:size]
     sel.sort()
     return sel
+
+
+def lexsort_resolve_swaps(j):
+    """`_resolve_swaps` as it was with a two-key lexsort grouping the steps
+    by (target, step), kept as the reference for its one-key sort."""
+    size = j.size
+    steps = np.arange(size)
+    order = np.lexsort((steps, j))
+    by_target = j[order]
+    same = by_target[1:] == by_target[:-1]
+    if not same.any():
+        return j
+    prev = np.full(size, -1)
+    prev[order[1:][same]] = order[:-1][same]
+    ends = np.flatnonzero(np.append(~same, True))
+    ends = ends[by_target[ends] < size]
+    link = steps.copy()
+    link[by_target[ends]] = order[ends]
+    while True:
+        jumped = link[link]
+        if np.array_equal(jumped, link):
+            break
+        link = jumped
+    return np.where(prev < 0, j, link[prev])
 
 
 def subset_cases():
@@ -87,6 +111,16 @@ class TestRngStream:
         assert s.subset(3, 0).size == 0
         assert s.subset(4, 4).tolist() == [0, 1, 2, 3]
 
+    def test_subset_rejects_overflowing_sort_keys(self):
+        s, fresh = RngStream(8, 3), RngStream(8, 3)
+        with pytest.raises(ValueError, match="overflows"):
+            s.subset(2**62, 2)   # n*size == 2**63
+        assert s.integers(0, 2**62) == fresh.integers(0, 2**62)
+        # one below the bound the keys fit, and nothing n-long is built
+        sel = s.subset(2**62 - 1, 2)
+        assert sel.dtype == np.int64 and sel.size == 2
+        assert 0 <= sel[0] < sel[1] < 2**62 - 1
+
     def test_subset_sorted_unique(self):
         s = RngStream(17, 3)
         for _ in range(200):
@@ -101,6 +135,29 @@ class TestRngStream:
             sel = s.choose(pool, 2)
             assert set(sel.tolist()) <= set(pool.tolist())
             assert np.all(np.diff(sel) > 0)
+
+
+class TestResolveSwaps:
+    def test_same_as_the_lexsort_formulation(self):
+        rng = np.random.default_rng(2026)
+        cases = [(200_000, 2_000), (198_951, 2_008), (10_000, 1_000)]
+        for n in (2, 3, 17, 300, 5_000):
+            # size close to n: most steps target a position an earlier
+            # step already swapped, so groups are long and chains deep
+            cases += [(n, size) for size in (1, n // 2, max(1, n - 3), n - 1, n)]
+        for _ in range(300):
+            n = int(rng.integers(2, 3_000))
+            cases.append((n, int(rng.integers(1, n + 1))))
+        collided = 0
+        for n, size in cases:
+            steps = np.arange(size)
+            j = steps + rng.integers(0, n - steps)
+            want = lexsort_resolve_swaps(j.copy())
+            got = _resolve_swaps(j.copy())
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n, size)
+            collided += np.unique(j).size < j.size
+        assert collided >= 100
 
 
 class TestSampleBatch:
