@@ -182,6 +182,8 @@ class ExperimentSpec:
             raise ConfigError("run.bins must be positive")
         if v["run.jobs"] < 1:
             raise ConfigError("run.jobs must be positive")
+        if v["opt.eta_decay"] is not None and not v["opt.eta_decay"] > 0:
+            raise ConfigError("opt.eta_decay must be positive")
 
     def _resolve_rule(self):
         """Per-algorithm (B, m, eta, T) fragments from the chosen rule."""

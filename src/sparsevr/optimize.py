@@ -19,11 +19,23 @@ smallest one at its previous selection (see `draw_support`).  The dense
 baseline is the same loop at k1+k2 = d, where every block is the identity
 and the step uses the dense batch gradient.
 
+The two d-vectors each inner step derives from nu, the step eta_t*nu and
+the memory increment alpha*|nu|, are kept next to nu.  They are built in
+full after each snapshot, on the identity path (where nu changes
+everywhere) and, for the step, whenever eta_t differs from the value it
+was built with; otherwise a sparse step rewrites them at its k coordinates
+only, right after it updates nu there.  Each entry gets the same IEEE
+operations as when both are formed from nu afresh, so the step costs one
+pass over d (`x - step`) and the EMA two.
+
 Diagnostics take one data pass per outer loop (and per SGD checkpoint):
 the fused `loss_grad_batch` when a gradient norm is recorded or targeted,
 `full_loss` otherwise; a capture probe reuses the fused gradient at the
 outer-loop iterate.  Each row reports that time as `diag_ms`, which is
-part of its `wall_ms`.
+part of its `wall_ms`.  The divergence ceiling needs f(x0), but no finite
+loss at or below DIVERGENCE_FACTOR can pass it, so f(x0) is evaluated only
+when a loss first does, at most once per run; a run whose losses stay
+below that makes no data pass at x0.
 
 Also here: plain batch SGD, the exponential-moving-average memory
 update, and the two hyperparameter calculators.
@@ -31,9 +43,11 @@ update, and the two hyperparameter calculators.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,8 +62,18 @@ from .vecops import as_vector
 
 log = logging.getLogger("sparsevr")
 
-# A run aborts once its loss exceeds this multiple of max(|f(x0)|, 1).
+# A run aborts once its loss is not finite or exceeds this multiple of
+# max(|f(x0)|, 1).  The ceiling is never below the factor itself, so f(x0)
+# is evaluated only once a finite loss exceeds DIVERGENCE_FACTOR.
 DIVERGENCE_FACTOR = 1e6
+
+
+def _ema_step(memory: np.ndarray, increment: np.ndarray, alpha: float) -> np.ndarray:
+    """memory = (1-alpha)*memory + increment in place, where increment is
+    alpha*|nu|; the one definition of the EMA formula."""
+    memory *= 1.0 - alpha
+    memory += increment
+    return memory
 
 
 def ema_update(memory: np.ndarray, nu: np.ndarray, alpha: float) -> np.ndarray:
@@ -60,9 +84,12 @@ def ema_update(memory: np.ndarray, nu: np.ndarray, alpha: float) -> np.ndarray:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    memory *= 1.0 - alpha
-    memory += alpha * np.abs(nu)
-    return memory
+    return _ema_step(memory, alpha * np.abs(nu), alpha)
+
+
+def _check_target(target_grad_norm: float | None) -> None:
+    if target_grad_norm is not None and not target_grad_norm >= 0:
+        raise ValueError("target_grad_norm must be nonnegative")
 
 
 @dataclass
@@ -110,6 +137,7 @@ class RunConfig:
             as_vector(self.x0, d)
         if self.eta_end is not None and not self.eta_end > 0:
             raise ValueError("eta_end must be positive")
+        _check_target(self.target_grad_norm)
 
 
 @dataclass
@@ -242,19 +270,32 @@ def _guard_finite(x: np.ndarray) -> None:
         raise _Aborted("non-finite iterate")
 
 
+def _initial_iterate(problem: FiniteSumProblem, x0) -> np.ndarray:
+    """x0 as a float64 d-vector, zeros when None; not copied if it is one."""
+    return np.zeros(problem.d) if x0 is None else as_vector(x0, problem.d)
+
+
 def _start(problem: FiniteSumProblem, x0):
-    """Starting iterate and the loss above which the run counts as diverged."""
-    x = np.zeros(problem.d) if x0 is None else as_vector(x0, problem.d).copy()
-    return x, DIVERGENCE_FACTOR * max(abs(problem.full_loss(x)), 1.0)
+    """Starting iterate, and the loss above which the run counts as diverged,
+    DIVERGENCE_FACTOR * max(|f(x0)|, 1), as a function that evaluates f(x0)
+    on its first call only."""
+
+    @functools.cache
+    def ceiling() -> float:
+        f0 = problem.full_loss(_initial_iterate(problem, x0))
+        return DIVERGENCE_FACTOR * max(abs(f0), 1.0)
+
+    return _initial_iterate(problem, x0).copy(), ceiling
 
 
-def _check_loss(loss: float, ceiling: float, where: str) -> None:
-    if not math.isfinite(loss) or loss > ceiling:
+def _check_loss(loss: float, ceiling: Callable[[], float], where: str) -> None:
+    if not math.isfinite(loss) or (loss > DIVERGENCE_FACTOR
+                                   and loss > ceiling()):
         raise _Aborted(f"divergence: loss {loss:.3e} at {where}")
 
 
 def _loss_and_norm(problem: FiniteSumProblem, x: np.ndarray, want_norm: bool,
-                   ceiling: float, where: str):
+                   ceiling: Callable[[], float], where: str):
     """f(x), checked against the divergence ceiling, then ||grad f(x)|| and
     grad f(x) when `want_norm` (else None, None), from one pass over the
     data."""
@@ -317,23 +358,33 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     # of the per-outer-loop cost sum the meter tracks.
     i0 = sample_batch(n, snap, batch_rng)
     memory = np.abs(prob.grad_batch(i0, x))
+    # eta_t*nu and alpha*|nu|, kept in step with nu (see the module docstring);
+    # step_eta is the eta that `step` holds, None when it is stale.
+    step, increment, step_eta = np.empty(d), np.empty(d), None
 
     try:
         for j in range(1, cfg.T + 1):
             tic = time.perf_counter()
             i_snap = sample_batch(n, snap, batch_rng)
             nu = prob.grad_batch(i_snap, x)
+            step_eta = None
+            np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
             meter.charge_snapshot(cfg.B, n)
             n_j = cfg.m if geom is None else draw_geometric(geom, geom_rng)
 
             for t in range(n_j):
                 eta_t = _inner_eta(cfg, t)
-                x_new = x - eta_t * nu
+                if eta_t != step_eta:
+                    np.multiply(nu, eta_t, out=step)
+                    step_eta = eta_t
+                x_new = x - step
                 _guard_finite(x_new)
                 i_t = sample_batch(n, cfg.b, batch_rng)
 
                 if identity:
                     nu += prob.grad_batch(i_t, x_new) - prob.grad_batch(i_t, x)
+                    step_eta = None
+                    np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
                 else:
                     parts = []
                     for i, (lo, p) in enumerate(blocks):
@@ -356,9 +407,12 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                                 "restricted-oracle update diverged from the "
                                 "dense masked update")
                     nu[coords] += scales * diff
+                    nu_k = nu[coords]
+                    step[coords] = step_eta * nu_k
+                    increment[coords] = cfg.alpha * np.abs(nu_k)
                 meter.charge_inner(cfg.b, k, d)
 
-                memory = ema_update(memory, nu, cfg.alpha)
+                _ema_step(memory, increment, cfg.alpha)
                 x = x_new
 
             diag_tic = time.perf_counter()
@@ -426,8 +480,11 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
     `eta_decay`, when set, multiplies the learning rate by that factor once
     per epoch (ceil(n/b) steps).
     """
-    if eta <= 0 or b < 1 or steps < 1:
+    if not eta > 0 or b < 1 or steps < 1:
         raise ValueError("need eta > 0, b >= 1, steps >= 1")
+    if eta_decay is not None and not eta_decay > 0:
+        raise ValueError("eta_decay must be positive")
+    _check_target(target_grad_norm)
     n, d = problem.n, problem.d
     if b > n:
         raise ValueError("need b <= n")

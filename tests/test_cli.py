@@ -274,6 +274,20 @@ class TestMainEntrypoint:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "opt.eta_decay = nan", "opt.eta_decay = 0", "opt.eta_decay = -1",
+        "run.target_grad_norm = nan", "run.target_grad_norm = -1"])
+    def test_run_rejects_bad_sgd_or_target_value_before_creating_output(
+            self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.txt"
+        out = tmp_path / "never"
+        cfg.write_text(SMALL_RUN.replace("sparse-spiderboost,spiderboost",
+                                         "sparse-spiderboost,sgd") + line + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        key = line.split(" = ")[0]
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_rejects_block_allocation_before_creating_output(
             self, tmp_path, capsys):
         # mlp-blobs has two layers, so every block needs one of the k2

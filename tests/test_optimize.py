@@ -18,7 +18,7 @@ from sparsevr.problems import (FiniteSumProblem, LeastSquaresProblem,
                                gen_low_rank_ratings, gen_planted_ls)
 from sparsevr import optimize, sparsity
 from sparsevr.sampling import STREAM_OPERATOR, RngStream, sample_batch
-from sparsevr.sparsity import SparsityParams, rtop, select_top_k1
+from sparsevr.sparsity import SparsityParams, rtop, select_top_k1, slot_scale
 from sparsevr.vecops import norm2_sq
 
 
@@ -122,6 +122,13 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="k2=1 is too small"):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2,
                       k1=2, k2=1).validate()
+
+    @pytest.mark.parametrize("target", [math.nan, -1.0])
+    def test_rejects_bad_target_grad_norm(self, target):
+        prob = quadratic_problem()
+        with pytest.raises(ValueError, match="target_grad_norm"):
+            RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4,
+                      target_grad_norm=target).validate()
 
 
 class TestQuadraticContraction:
@@ -314,22 +321,30 @@ class TestLoopIsRtop:
         x0 = np.random.default_rng(42).standard_normal(20)
         cfg = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=30, b=8, k1=3,
                         k2=4, seed=43, x0=x0, record_grad_norm=False)
-        batches, steps = [], []
-        real_sample, real_ema = optimize.sample_batch, optimize.ema_update
+        batches, memories, grads = [], [], []
+        real_sample, real_ema = optimize.sample_batch, optimize._ema_step
+        real_grad = prob.grad_batch
 
         def sample(n, size, rng):
             batches.append(real_sample(n, size, rng))
             return batches[-1]
 
-        def ema(memory, nu, alpha):
-            steps.append((memory.copy(), nu.copy()))
-            return real_ema(memory, nu, alpha)
+        def ema(memory, increment, alpha):
+            memories.append(memory.copy())
+            return real_ema(memory, increment, alpha)
+
+        def grad(idx, x):
+            grads.append(real_grad(idx, x))
+            return grads[-1]
 
         monkeypatch.setattr(optimize, "sample_batch", sample)
-        monkeypatch.setattr(optimize, "ema_update", ema)
+        monkeypatch.setattr(optimize, "_ema_step", ema)
+        monkeypatch.setattr(prob, "grad_batch", grad)
         run_sparse_spiderboost(cfg)
         _, i_snap, i_t = batches  # memory init, snapshot, inner step
-        memory0, nu1 = steps[0]
+        # The snapshot gradient is the nu that the one inner step updates
+        # in place.
+        memory0, nu1 = memories[0], grads[1]
         nu0 = prob.grad_batch(i_snap, x0)
         x1 = x0 - cfg.eta * nu0
         dense_diff = prob.grad_batch(i_t, x1) - prob.grad_batch(i_t, x0)
@@ -405,6 +420,83 @@ class TestTopK1FromPrevious:
         assert not record.aborted
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKeptInStepVectors:
+    """The loop keeps eta_t*nu and alpha*|nu| next to nu and rewrites them at
+    the k changed coordinates only.  Replayed from what the loop hands its
+    callees, every step is x - eta_t*nu and every memory the EMA of nu,
+    bit for bit."""
+
+    @pytest.mark.parametrize("eta_end", [None, 0.02])
+    def test_replay_from_the_callees(self, monkeypatch, eta_end):
+        prob, k1, k2 = selection_problems()[2]  # the blocked MLP
+        cfg = RunConfig(problem=prob, eta=0.1, eta_end=eta_end, m=4, T=3,
+                        B=12, b=3, alpha=0.3, k1=k1, k2=k2, seed=6,
+                        x0=0.3 * np.random.default_rng(7).standard_normal(prob.d),
+                        record_grad_norm=False)
+        batches, scored, restricted, ends = [], [], [], []
+        real_sample, real_draw = optimize.sample_batch, optimize.draw_support
+        real_entropy = optimize.entropy_bits
+        real_restricted = prob.grad_batch_restricted
+
+        def sample(n, size, rng):
+            batches.append(real_sample(n, size, rng))
+            return batches[-1]
+
+        def draw(block, p, rng, prev_top):
+            scored.append(block.copy())
+            return real_draw(block, p, rng, prev_top)
+
+        def entropy(memory):
+            ends.append(memory.copy())
+            return real_entropy(memory)
+
+        def restricted_grad(idx, x, coords):
+            out = real_restricted(idx, x, coords)
+            restricted.append((idx, x.copy(), coords.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(optimize, "sample_batch", sample)
+        monkeypatch.setattr(optimize, "draw_support", draw)
+        monkeypatch.setattr(optimize, "entropy_bits", entropy)
+        monkeypatch.setattr(prob, "grad_batch_restricted", restricted_grad)
+        x_out, record = run_sparse_spiderboost(cfg)
+        assert not record.aborted
+
+        n_blocks = len(prob.param_blocks())
+        seen = [np.concatenate(scored[i:i + n_blocks])
+                for i in range(0, len(scored), n_blocks)]
+        steps = cfg.T * cfg.m
+        assert len(seen) == steps and len(restricted) == 2 * steps
+        assert len(batches) == 1 + cfg.T * (1 + cfg.m) and len(ends) == cfg.T
+        scales = slot_scale(p for _, p in optimize._operator_blocks(cfg))
+
+        x = cfg.x0
+        memory = np.abs(prob.grad_batch(batches[0], x))
+        s = 0
+        for j in range(cfg.T):
+            nu = prob.grad_batch(batches[1 + j * (1 + cfg.m)], x)
+            for t in range(cfg.m):
+                i_t = batches[2 + j * (1 + cfg.m) + t]
+                (i_new, x_new, coords, g_new), (i_old, x_old, coords_old, g_old) = (
+                    restricted[2 * s:2 * s + 2])
+                assert same_bits(seen[s], memory)
+                assert i_new is i_t and i_old is i_t
+                assert same_bits(x_old, x)
+                assert same_bits(coords_old, coords)
+                assert same_bits(x_new, x - optimize._inner_eta(cfg, t) * nu)
+                nu = nu.copy()
+                nu[coords] += scales * (g_new - g_old)
+                memory = ema_update(memory.copy(), nu, cfg.alpha)
+                x = x_new
+                s += 1
+            assert same_bits(ends[j], memory)
+        assert same_bits(x_out, x)
+
+
 def count_diagnostic_calls(monkeypatch, prob):
     """Wrap the problem's full-data oracles; returns the list of calls they
     log, as (name, idx) with idx recorded for the fused oracle only."""
@@ -461,11 +553,10 @@ class TestDiagnosticsTakeOnePass:
         calls = count_diagnostic_calls(monkeypatch, prob)
         x, rec = run(prob, True)
         assert len(rec.rows) == 3
-        assert calls == ([("full_loss", None)]
-                         + [("loss_grad_batch", slice(None))] * 3)
+        assert calls == [("loss_grad_batch", slice(None))] * 3
         calls.clear()
         _, quiet = run(prob, False)
-        assert calls == [("full_loss", None)] * 4
+        assert calls == [("full_loss", None)] * 3
         assert all(0.0 <= r.diag_ms <= r.wall_ms for r in rec.rows + quiet.rows)
 
         ref_prob = selection_problems()[case][0]
@@ -588,6 +679,15 @@ class TestSgd:
                                eta_decay=0.5, record_every=40)
         assert rec_flat.rows[-1].loss != rec_decay.rows[-1].loss
 
+    @pytest.mark.parametrize("bad", [
+        dict(eta=math.nan), dict(eta_decay=math.nan), dict(eta_decay=0.0),
+        dict(eta_decay=-1.0), dict(target_grad_norm=math.nan),
+        dict(target_grad_norm=-1.0)])
+    def test_rejects_bad_arguments(self, bad):
+        kw = dict(eta=0.3, b=2, steps=4, problem=quadratic_problem(), seed=0)
+        with pytest.raises(ValueError):
+            run_sgd(**{**kw, **bad})
+
 
 class TestDivergenceGuard:
     def test_huge_step_aborts_with_reason(self):
@@ -606,6 +706,82 @@ class TestDivergenceGuard:
         _, record = run_sgd(eta=1e8, b=4, steps=200, problem=prob, seed=6,
                             record_every=1)
         assert record.aborted
+
+
+class CountingLoss:
+    """A stub problem whose full loss is a chosen f(x0); counts its calls."""
+
+    d = 3
+
+    def __init__(self, f0):
+        self.f0, self.calls = f0, 0
+
+    def full_loss(self, x):
+        self.calls += 1
+        return self.f0
+
+
+class TestLazyCeiling:
+    """The divergence ceiling DIVERGENCE_FACTOR*max(|f(x0)|, 1) is never below
+    the factor, so f(x0) is evaluated only when a finite loss passes it."""
+
+    def test_no_loss_at_x0_below_the_factor(self):
+        f0 = -5e3  # ceiling 5e9
+        for loss in (-1e300, 0.0, 1.0, optimize.DIVERGENCE_FACTOR):
+            prob = CountingLoss(f0)
+            optimize._check_loss(loss, optimize._start(prob, None)[1], "here")
+            assert prob.calls == 0
+
+    def test_f0_evaluated_once_above_the_factor(self):
+        prob = CountingLoss(-5e3)
+        _, ceiling = optimize._start(prob, None)
+        for loss in (2e6, 5e9, 1e7):
+            optimize._check_loss(loss, ceiling, "here")
+            assert prob.calls == 1
+        with pytest.raises(optimize._Aborted, match="divergence: loss 5.000e"):
+            optimize._check_loss(np.nextafter(5e9, np.inf), ceiling, "here")
+        assert prob.calls == 1
+
+    def test_small_f0_gives_the_factor_itself(self):
+        prob = CountingLoss(0.5)
+        ceiling = optimize._start(prob, None)[1]
+        with pytest.raises(optimize._Aborted):
+            optimize._check_loss(np.nextafter(1e6, np.inf), ceiling, "here")
+        assert prob.calls == 1
+
+    @pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_aborts_without_f0(self, loss):
+        prob = CountingLoss(1.0)
+        with pytest.raises(optimize._Aborted, match="divergence"):
+            optimize._check_loss(loss, optimize._start(prob, None)[1], "here")
+        assert prob.calls == 0
+
+    @pytest.mark.parametrize("algorithm", ["sparse", "dense", "sgd"])
+    def test_runs_below_the_factor_make_no_pass_at_x0(self, monkeypatch,
+                                                      algorithm):
+        a, b, _ = gen_gaussian_ls(30, 8, seed=14)
+        prob = LeastSquaresProblem(a, b)
+        x0 = np.random.default_rng(3).standard_normal(8)
+        points = []
+        real_loss = prob.full_loss
+
+        def full_loss(x):
+            points.append(x.copy())
+            return real_loss(x)
+
+        monkeypatch.setattr(prob, "full_loss", full_loss)
+        if algorithm == "sgd":
+            _, rec = run_sgd(eta=0.05, b=3, steps=12, problem=prob, seed=4,
+                             x0=x0, record_every=4, record_grad_norm=False)
+        else:
+            cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3, B=12, b=3,
+                            k1=2, k2=2, seed=3, x0=x0, record_grad_norm=False)
+            run = run_sparse_spiderboost if algorithm == "sparse" else run_spiderboost_dense
+            _, rec = run(cfg)
+        assert not rec.aborted and len(rec.rows) == 3
+        assert max(r.loss for r in rec.rows) <= optimize.DIVERGENCE_FACTOR
+        assert len(points) == 3  # one per row
+        assert not any(np.array_equal(p, x0) for p in points)
 
 
 class TestInnerLoopSchedule:
