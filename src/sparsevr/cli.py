@@ -169,7 +169,7 @@ class ExperimentSpec:
         try:
             run_config(self.values, self.problem, 0, fragment).validate()
         except ValueError as exc:
-            raise ConfigError(f"invalid opt.* values: {exc}") from exc
+            raise ConfigError(f"invalid opt.*/run.* values: {exc}") from exc
 
     def _validate(self):
         """Checks that RunConfig.validate cannot make."""

@@ -17,16 +17,20 @@ saving is in the meter, not in their wall-clock.
 Each block's top-k1 selection scans only the memory entries not below the
 smallest one at its previous selection (see `draw_support`).  The dense
 baseline is the same loop at k1+k2 = d, where every block is the identity
-and the step uses the dense batch gradient.
+and the step uses the dense batch gradient.  The memory vector exists only
+to score the top-k1 slots, so the identity path keeps none: no memory, no
+EMA and no entropy (its rows report None), and a capture probe, which
+scores by memory, is a config error there.  It still draws the memory's
+initial batch, so both paths share one batch stream.
 
-The two d-vectors each inner step derives from nu, the step eta_t*nu and
-the memory increment alpha*|nu|, are kept next to nu.  They are built in
-full after each snapshot, on the identity path (where nu changes
-everywhere) and, for the step, whenever eta_t differs from the value it
-was built with; otherwise a sparse step rewrites them at its k coordinates
-only, right after it updates nu there.  Each entry gets the same IEEE
-operations as when both are formed from nu afresh, so the step costs one
-pass over d (`x - step`) and the EMA two.
+The d-vectors each sparse inner step derives from nu, the step eta_t*nu
+and the memory increment alpha*|nu|, are kept next to nu.  They are built
+in full after each snapshot and, for the step, whenever eta_t differs from
+the value it was built with; otherwise a sparse step rewrites them at its
+k coordinates only, right after it updates nu there.  The identity path,
+where nu changes everywhere, rebuilds the step only.  Each entry gets the
+same IEEE operations as when both are formed from nu afresh, so the step
+costs one pass over d (`x - step`) and the EMA two.
 
 Diagnostics take one data pass per outer loop (and per SGD checkpoint):
 the fused `loss_grad_batch` when a gradient norm is recorded or targeted,
@@ -129,6 +133,9 @@ class RunConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         _operator_blocks(self)  # validates the budget and its per-block split
+        if self.record_capture and self.k1 + self.k2 == d:
+            raise ValueError("record_capture needs k1+k2 < d: the identity "
+                             "operator keeps no memory to score a top-k1 set")
         if self.inner_mode not in ("fixed", "geometric"):
             raise ValueError("inner_mode must be 'fixed' or 'geometric'")
         if self.output_mode not in ("last", "uniform"):
@@ -150,7 +157,7 @@ class RunRow:
     grad_norm: float | None
     units: float
     queries_over_n: float
-    entropy: float | None
+    entropy: float | None   # of the memory; None where there is none
     wall_ms: float
     diag_ms: float   # part of wall_ms: loss, gradient norm, entropy, capture
     g: float | None = None
@@ -265,9 +272,9 @@ class _Aborted(Exception):
         self.reason = reason
 
 
-def _guard_finite(x: np.ndarray) -> None:
+def _guard_finite(x: np.ndarray, what: str = "iterate") -> None:
     if not np.isfinite(x).all():
-        raise _Aborted("non-finite iterate")
+        raise _Aborted(f"non-finite {what}")
 
 
 def _initial_iterate(problem: FiniteSumProblem, x0) -> np.ndarray:
@@ -319,10 +326,10 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
 
     The operator is one (offset, SparsityParams) block per parameter block
     of the problem, or a single (0, d) block.  At k1+k2 = d every block is
-    the identity and the inner step uses the dense batch gradient.  Each
-    block's `draw_support` call stays here, under the name this module
-    imports, so perfbench's tracer, which wraps that name, sees one call
-    per block.
+    the identity: the inner step uses the dense batch gradient and the loop
+    keeps no operator state and no memory.  Each block's `draw_support` call
+    stays here, under the name this module imports, so perfbench's tracer,
+    which wraps that name, sees one call per block.
     """
     cfg.validate()
     prob = cfg.problem
@@ -343,24 +350,25 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
 
     k = cfg.k1 + cfg.k2
     identity = k == d
-    blocks = _operator_blocks(cfg)
-    # Per-slot factor in the [top, rand] order of `coords` below.
-    scales = slot_scale(p for _, p in blocks)
-    # Each block's last top-k1 selection; it bounds the next one from below.
-    tops = [None] * len(blocks)
-
     want_norm = cfg.record_grad_norm or cfg.target_grad_norm is not None
     geom = GeomParams(cfg.m) if cfg.inner_mode == "geometric" else None
     out_index = out_rng.integers(1, cfg.T + 1) if cfg.output_mode == "uniform" else None
     x_stash = None
 
     # Memory init from its own large batch; this one-off snapshot is not part
-    # of the per-outer-loop cost sum the meter tracks.
+    # of the per-outer-loop cost sum the meter tracks.  The identity path
+    # keeps no memory but draws the batch, so the batch stream is the same.
     i0 = sample_batch(n, snap, batch_rng)
-    memory = np.abs(prob.grad_batch(i0, x))
-    # eta_t*nu and alpha*|nu|, kept in step with nu (see the module docstring);
+    if not identity:
+        blocks = _operator_blocks(cfg)
+        # Per-slot factor in the [top, rand] order of `coords` below.
+        scales = slot_scale(p for _, p in blocks)
+        # Each block's last top-k1 selection; it bounds the next one from below.
+        tops = [None] * len(blocks)
+        memory, increment = np.abs(prob.grad_batch(i0, x)), np.empty(d)
+    # eta_t*nu, kept in step with nu like alpha*|nu| (see the module docstring);
     # step_eta is the eta that `step` holds, None when it is stale.
-    step, increment, step_eta = np.empty(d), np.empty(d), None
+    step, step_eta = np.empty(d), None
 
     try:
         for j in range(1, cfg.T + 1):
@@ -368,7 +376,8 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
             i_snap = sample_batch(n, snap, batch_rng)
             nu = prob.grad_batch(i_snap, x)
             step_eta = None
-            np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
+            if not identity:
+                np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
             meter.charge_snapshot(cfg.B, n)
             n_j = cfg.m if geom is None else draw_geometric(geom, geom_rng)
 
@@ -384,7 +393,6 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 if identity:
                     nu += prob.grad_batch(i_t, x_new) - prob.grad_batch(i_t, x)
                     step_eta = None
-                    np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
                 else:
                     parts = []
                     for i, (lo, p) in enumerate(blocks):
@@ -410,15 +418,15 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                     nu_k = nu[coords]
                     step[coords] = step_eta * nu_k
                     increment[coords] = cfg.alpha * np.abs(nu_k)
+                    _ema_step(memory, increment, cfg.alpha)
                 meter.charge_inner(cfg.b, k, d)
-
-                _ema_step(memory, increment, cfg.alpha)
                 x = x_new
 
+            _guard_finite(nu, "direction")
             diag_tic = time.perf_counter()
             loss, grad_norm, grad = _loss_and_norm(prob, x, want_norm,
                                                    loss_ceiling, f"outer loop {j}")
-            ent = entropy_bits(memory) if memory.sum() > 0 else None
+            ent = entropy_bits(memory) if not identity and memory.sum() > 0 else None
 
             g_val = big_g_val = r_val = None
             if cfg.record_capture:
@@ -466,7 +474,9 @@ def run_sparse_spiderboost(cfg: RunConfig):
 
 def run_spiderboost_dense(cfg: RunConfig):
     """The same loop with the identity operator (k1=0, k2=d); the k1 and k2
-    of `cfg` are ignored.  Inner steps cost the full 2b units."""
+    of `cfg` are ignored.  Inner steps cost the full 2b units.  SpiderBoost
+    has no memory vector, so rows report no entropy and `record_capture` is
+    rejected."""
     return _spider_loop(replace(cfg, k1=0, k2=cfg.problem.d), "spiderboost")
 
 

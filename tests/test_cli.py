@@ -297,8 +297,18 @@ class TestMainEntrypoint:
         cfg.write_text(PRESETS["mlp-blobs"].replace("opt.k2 = 10",
                                                     "opt.k2 = 1"))
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert ("config error: invalid opt.* values: k2=1 is too small"
+        assert ("config error: invalid opt.*/run.* values: k2=1 is too small"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_run_files_a_bad_target_under_both_key_groups(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "never"
+        cfg.write_text(SMALL_RUN + "run.target_grad_norm = -1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: invalid opt.*/run.* values: target_grad_norm "
+                "must be nonnegative" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_run_flag_is_validated_before_creating_output(self, tmp_path):

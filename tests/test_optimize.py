@@ -130,6 +130,18 @@ class TestRunConfigValidation:
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4,
                       target_grad_norm=target).validate()
 
+    def test_rejects_capture_at_the_identity(self):
+        # The identity keeps no memory to score a top-k1 set with.
+        prob = quadratic_problem()
+        sparse = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=1,
+                           k2=1, record_capture=True)
+        sparse.validate()
+        full = replace(sparse, k2=3)
+        for runner, cfg in [(run_sparse_spiderboost, full),
+                            (run_spiderboost_dense, sparse)]:
+            with pytest.raises(ValueError, match="record_capture"):
+                runner(cfg)
+
 
 class TestQuadraticContraction:
     def test_exact_linear_contraction(self):
@@ -497,6 +509,69 @@ class TestKeptInStepVectors:
         assert same_bits(x_out, x)
 
 
+class TestIdentityKeepsNoMemory:
+    """At k1+k2 = d the loop is SpiderBoost: replayed from the batches it
+    draws, every step is x - eta_t*nu and every correction the dense batch
+    difference, bit for bit, with no memory gradient, EMA or entropy."""
+
+    @pytest.mark.parametrize("eta_end", [None, 0.02])
+    @pytest.mark.parametrize("runner", ["dense", "sparse-full-budget"])
+    def test_replay_from_the_batches(self, monkeypatch, eta_end, runner):
+        prob = selection_problems()[2][0]  # the blocked MLP
+        cfg = RunConfig(problem=prob, eta=0.1, eta_end=eta_end, m=4, T=3,
+                        B=12, b=3, alpha=0.3, k1=2, k2=prob.d - 2, seed=6,
+                        x0=0.3 * np.random.default_rng(7).standard_normal(prob.d),
+                        record_grad_norm=False)
+        batches, grads, calls = [], [], {"ema": 0, "entropy": 0}
+        real_sample, real_grad = optimize.sample_batch, prob.grad_batch
+
+        def sample(n, size, rng):
+            batches.append(real_sample(n, size, rng))
+            return batches[-1]
+
+        def grad(idx, x):
+            grads.append((idx, x.copy()))
+            return real_grad(idx, x)
+
+        def counted(name):
+            def count(*args):
+                calls[name] += 1
+            return count
+
+        monkeypatch.setattr(optimize, "sample_batch", sample)
+        monkeypatch.setattr(prob, "grad_batch", grad)
+        monkeypatch.setattr(optimize, "_ema_step", counted("ema"))
+        monkeypatch.setattr(optimize, "entropy_bits", counted("entropy"))
+        run = (run_spiderboost_dense if runner == "dense"
+               else run_sparse_spiderboost)
+        x_out, record = run(cfg)
+        assert not record.aborted
+        assert calls == {"ema": 0, "entropy": 0}
+        assert [row.entropy for row in record.rows] == [None] * cfg.T
+
+        # The memory's initial batch is still drawn, but never evaluated.
+        m = cfg.m
+        assert len(batches) == 1 + cfg.T * (1 + m)
+        assert len(grads) == cfg.T * (1 + 2 * m)
+        assert all(idx is not batches[0] for idx, _ in grads)
+        x, s = cfg.x0, 0
+        for j in range(cfg.T):
+            i_snap = batches[1 + j * (1 + m)]
+            assert grads[s][0] is i_snap and same_bits(grads[s][1], x)
+            nu = real_grad(i_snap, x)
+            s += 1
+            for t in range(m):
+                i_t = batches[2 + j * (1 + m) + t]
+                (i_new, x_new), (i_old, x_old) = grads[s:s + 2]
+                assert i_new is i_t and i_old is i_t
+                assert same_bits(x_old, x)
+                assert same_bits(x_new, x - optimize._inner_eta(cfg, t) * nu)
+                nu = nu + (real_grad(i_t, x_new) - real_grad(i_t, x))
+                x = x_new
+                s += 2
+        assert same_bits(x_out, x)
+
+
 def count_diagnostic_calls(monkeypatch, prob):
     """Wrap the problem's full-data oracles; returns the list of calls they
     log, as (name, idx) with idx recorded for the fused oracle only."""
@@ -706,6 +781,38 @@ class TestDivergenceGuard:
         _, record = run_sgd(eta=1e8, b=4, steps=200, problem=prob, seed=6,
                             record_every=1)
         assert record.aborted
+
+    @pytest.mark.parametrize("runner", ["dense", "sparse"])
+    def test_last_step_inf_aborts_before_the_diagnostics(self, monkeypatch,
+                                                         runner):
+        # An Inf from an outer loop's last gradient difference never reaches
+        # an iterate; the finiteness check on nu catches it on both paths.
+        a, b, _ = gen_gaussian_ls(40, 10, seed=24)
+        prob = LeastSquaresProblem(a, b)
+        cfg = RunConfig(problem=prob, eta=0.1, m=3, T=2, B=20, b=4, k1=2,
+                        k2=3, seed=7, record_grad_norm=False)
+        # Oracle calls come in (x_new, x) pairs per inner step, after the
+        # snapshot's on the dense path; spoil x_new's at the first loop's last.
+        last = 2 * (cfg.m - 1)
+        if runner == "dense":
+            name, run, bad_call = "grad_batch", run_spiderboost_dense, 1 + last
+        else:
+            name, run, bad_call = ("grad_batch_restricted",
+                                   run_sparse_spiderboost, last)
+        real, count = getattr(prob, name), [0]
+
+        def oracle(*args):
+            out = real(*args)
+            if count[0] == bad_call:
+                out[0] = np.inf
+            count[0] += 1
+            return out
+
+        monkeypatch.setattr(prob, name, oracle)
+        x, record = run(cfg)
+        assert record.aborted
+        assert record.abort_reason == "non-finite direction"
+        assert record.rows == [] and np.isfinite(x).all()
 
 
 class CountingLoss:
