@@ -33,7 +33,7 @@ from . import problems as prob_mod
 from .optimize import (HyperparamInputs, RunConfig, apply_hyperparams,
                        data_adaptive_hyperparams, run_sgd,
                        run_sparse_spiderboost, run_spiderboost_dense,
-                       worst_case_hyperparams)
+                       validate_sgd_args, worst_case_hyperparams)
 from .problems import (LeastSquaresProblem, LogisticProblem,
                        MatrixFactorizationProblem, MLPProblem,
                        ProblemConstants, estimate_constants)
@@ -157,6 +157,10 @@ class ExperimentSpec:
         self.algorithms = values["opt.algorithm"]
         self._validate()
         self._validate_run_config(None)
+        try:
+            validate_sgd_args(**_sgd_args(values, self.problem))
+        except ValueError as exc:
+            raise ConfigError(f"invalid opt.*/run.* values: {exc}") from exc
         self.fragments = self._resolve_rule()
         for fragment in self.fragments.values():
             self._validate_run_config(fragment)
@@ -182,8 +186,6 @@ class ExperimentSpec:
             raise ConfigError("run.bins must be positive")
         if v["run.jobs"] < 1:
             raise ConfigError("run.jobs must be positive")
-        if v["opt.eta_decay"] is not None and not v["opt.eta_decay"] > 0:
-            raise ConfigError("opt.eta_decay must be positive")
 
     def _resolve_rule(self):
         """Per-algorithm (B, m, eta, T) fragments from the chosen rule."""
@@ -436,15 +438,22 @@ def run_config(values: dict, problem, seed: int,
     return apply_hyperparams(cfg, fragment) if fragment else cfg
 
 
+def _sgd_args(values: dict, problem) -> dict:
+    """run_sgd's arguments for the experiment's SGD cells, except the seed
+    and the recording flag."""
+    v = values
+    steps = v["opt.steps"] if v["opt.steps"] is not None else v["opt.m"] * v["opt.T"]
+    return dict(eta=v["opt.eta"], b=min(v["opt.b"], problem.n), steps=steps,
+                problem=problem, eta_decay=v["opt.eta_decay"],
+                target_grad_norm=v["run.target_grad_norm"])
+
+
 def _execute_run(problem, v: dict, fragment: dict | None, algorithm: str,
                  seed: int):
     """Run one (algorithm, seed) cell on the experiment's problem."""
     if algorithm == "sgd":
-        steps = v["opt.steps"] if v["opt.steps"] is not None else v["opt.m"] * v["opt.T"]
-        _, record = run_sgd(v["opt.eta"], min(v["opt.b"], problem.n), steps,
-                            problem, seed, eta_decay=v["opt.eta_decay"],
-                            record_grad_norm=v["run.record_grad_norm"],
-                            target_grad_norm=v["run.target_grad_norm"])
+        _, record = run_sgd(seed=seed, record_grad_norm=v["run.record_grad_norm"],
+                            **_sgd_args(v, problem))
         return record
     runner = (run_sparse_spiderboost if algorithm == "sparse-spiderboost"
               else run_spiderboost_dense)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .problems import component_chunks
 from .sparsity import select_top_k1
 from .vecops import as_vector
 
@@ -136,9 +137,7 @@ def measure_g_G(problem, memory: np.ndarray, x_next: np.ndarray,
                              "pass an rng to subsample")
         idx = rng.subset(n, max_components)
     acc = 0.0
-    chunk = 4096
-    for lo in range(0, idx.size, chunk):
-        sub = idx[lo:lo + chunk]
+    for sub in component_chunks(idx, problem.d):
         d_next = problem.grad_components(sub, x_next)
         d_prev = problem.grad_components(sub, x_prev)
         delta = d_next - d_prev

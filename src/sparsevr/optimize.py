@@ -11,9 +11,10 @@ only the selected coordinates and the query meter charges 2*b*(k1+k2)/d
 per inner step.  The correction is `rtop` applied block by block: the
 loop draws each block's support with `draw_support` and weights the slots
 with `slot_scale`, the two pieces `rtop` itself is built from.  The
-restricted oracles still run the dense gradient kernel (for the network,
-the dense backprop) and gather from it (see `problems`), so the k/d
-saving is in the meter, not in their wall-clock.
+restricted oracle is each problem's one gradient kernel read at the
+selected coordinates (see `problems`): it still runs the dense kernel (for
+the network, the dense backprop) and gathers from it, so the k/d saving
+is in the meter, not in its wall-clock.
 Each block's top-k1 selection scans only the memory entries not below the
 smallest one at its previous selection (see `draw_support`).  The dense
 baseline is the same loop at k1+k2 = d, where every block is the identity
@@ -480,6 +481,21 @@ def run_spiderboost_dense(cfg: RunConfig):
     return _spider_loop(replace(cfg, k1=0, k2=cfg.problem.d), "spiderboost")
 
 
+def validate_sgd_args(eta: float, b: int, steps: int,
+                      problem: FiniteSumProblem, eta_decay: float | None = None,
+                      target_grad_norm: float | None = None) -> None:
+    """Raise ValueError unless run_sgd accepts these arguments."""
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    if not 1 <= b <= problem.n:
+        raise ValueError("need 1 <= b <= n")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if eta_decay is not None and not eta_decay > 0:
+        raise ValueError("eta_decay must be positive")
+    _check_target(target_grad_norm)
+
+
 def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
             seed: int, x0: np.ndarray | None = None,
             eta_decay: float | None = None, record_every: int | None = None,
@@ -490,14 +506,8 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
     `eta_decay`, when set, multiplies the learning rate by that factor once
     per epoch (ceil(n/b) steps).
     """
-    if not eta > 0 or b < 1 or steps < 1:
-        raise ValueError("need eta > 0, b >= 1, steps >= 1")
-    if eta_decay is not None and not eta_decay > 0:
-        raise ValueError("eta_decay must be positive")
-    _check_target(target_grad_norm)
+    validate_sgd_args(eta, b, steps, problem, eta_decay, target_grad_norm)
     n, d = problem.n, problem.d
-    if b > n:
-        raise ValueError("need b <= n")
     batch_rng = RngStream(seed, STREAM_BATCH)
     x, loss_ceiling = _start(problem, x0)
     record = RunRecord(algorithm="sgd", seed=seed, n=n, d=d,

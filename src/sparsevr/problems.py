@@ -1,26 +1,31 @@
 """Finite-sum objectives f(x) = (1/n) sum_i f_i(x) with gradient oracles.
 
-Each problem implements three kernels over a selection of components: the
-mean loss `loss_batch`, the mean gradient `grad_batch` and the per-component
-gradient matrix `grad_components`.  The base class derives component loss,
-full loss and full gradient from them; the full-data calls select with a
-slice, so they read the rows in place.  The fused kernel `loss_grad_batch`
-returns the loss and the gradient together; its base-class default calls
-the two kernels, and every problem here overrides it to share their forward
-pass (the residual, the margins, the network's forward pass, the factor-row
-gather).  Each problem writes its loss formula and its gradient formula once,
-in private helpers that `loss_batch`, `grad_batch` and `loss_grad_batch` all
-call, so the fused values are the same bits as the separate ones.  The restricted oracle returns only
-the batch gradient's entries at the requested coordinates, taken from the
-same kernel as the batch gradient, so they agree bit for bit.  Its k/d cost
-is accounted by the optimizer's query meter; in wall-clock it still runs the
-dense backprop.  The network's version gathers its k entries from the one
-d-length gradient sum that the batch gradient scales in full, and scales
-only those.
+Each problem implements four private hooks over a selection `idx` of its
+components (an index array or a slice):
+
+- `_pass(idx, x)`: the one forward pass (the residual, the margins, the
+  network's forward pass, or the factor-row gather), returned as a state;
+- `_loss(state)`: the mean loss;
+- `_grad(state, coords)`: the mean gradient at `coords`, an index array or
+  `slice(None)` for all d, in the order of `coords`;
+- `_components(state)`: the per-component gradients, one row each.
+
+`FiniteSumProblem` checks x once and composes every public oracle from
+them.  The batch gradient is `_grad` at `slice(None)` and the restricted
+oracle is `_grad` at the requested coordinates, so the dense gradient is
+the restricted one at full support, bit for bit; the fused oracle runs
+both readers on one pass.  The full-data oracles select with a slice, so
+they read the rows in place.
+
+Each `_grad` here forms the d-length gradient and gathers `coords` from it
+(the network's scales only the gathered entries), so a restricted
+gradient's k/d cost is accounted by the optimizer's query meter; in
+wall-clock it still runs the dense kernel.
 
 Also here: closed-form or estimated problem constants (smoothness L,
-gradient second-moment bound sigma^2, initial suboptimality delta_f),
-seeded synthetic dataset generators, and the text dataset format.
+gradient second-moment bound sigma^2, initial suboptimality delta_f), the
+memory-bounded chunking of per-component sweeps, seeded synthetic dataset
+generators, and the text dataset format.
 """
 
 from __future__ import annotations
@@ -32,6 +37,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .vecops import as_vector
+
+# Floats per rows x d matrix of a per-component sweep chunk: 2**22 float64
+# values, 32 MiB.
+CHUNK_FLOATS = 2 ** 22
+
+
+def component_chunks(idx: np.ndarray, d: int):
+    """Consecutive pieces of the index array `idx`, of
+    min(4096, max(1, CHUNK_FLOATS // d)) entries each (the last may be
+    shorter), so that a piece's per-component gradient matrix holds at most
+    CHUNK_FLOATS values whenever d <= CHUNK_FLOATS."""
+    rows = min(4096, max(1, CHUNK_FLOATS // d))
+    for lo in range(0, idx.size, rows):
+        yield idx[lo:lo + rows]
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -54,23 +73,54 @@ def _require_finite(*arrays) -> None:
 
 
 class FiniteSumProblem(abc.ABC):
-    """Oracle interface.  Subclasses implement the three abstract kernels;
-    `idx` is an index array or, for the two batch kernels, a slice."""
+    """Oracle interface.  Subclasses implement the four hooks of the module
+    docstring; every public oracle is composed from them here."""
 
     n: int
     d: int
 
     @abc.abstractmethod
+    def _pass(self, idx, x: np.ndarray):
+        """The forward pass over the components in idx at a checked x."""
+
+    @abc.abstractmethod
+    def _loss(self, state) -> float:
+        """Mean loss of a pass."""
+
+    @abc.abstractmethod
+    def _grad(self, state, coords) -> np.ndarray:
+        """Mean gradient of a pass at coords (index array or slice(None))."""
+
+    @abc.abstractmethod
+    def _components(self, state) -> np.ndarray:
+        """Per-component gradients of a pass, one row per component."""
+
+    def _state(self, idx, x):
+        """The pass over idx at x, after the one check of x."""
+        return self._pass(idx, as_vector(x, self.d))
+
     def loss_batch(self, idx, x: np.ndarray) -> float:
         """Average loss over the components in idx."""
+        return self._loss(self._state(idx, x))
 
-    @abc.abstractmethod
     def grad_batch(self, idx, x: np.ndarray) -> np.ndarray:
         """Average gradient over the components in idx."""
+        return self._grad(self._state(idx, x), slice(None))
 
-    @abc.abstractmethod
-    def grad_components(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def grad_batch_restricted(self, idx, x: np.ndarray,
+                              coords: np.ndarray) -> np.ndarray:
+        """Batch gradient entries at `coords`, in the order of `coords`;
+        grad_batch(idx, x)[coords] bit for bit."""
+        return self._grad(self._state(idx, x), coords)
+
+    def loss_grad_batch(self, idx, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(loss_batch(idx, x), grad_batch(idx, x)) from one pass, bit for bit."""
+        state = self._state(idx, x)
+        return self._loss(state), self._grad(state, slice(None))
+
+    def grad_components(self, idx, x: np.ndarray) -> np.ndarray:
         """len(idx) x d matrix whose rows are the per-component gradients."""
+        return self._components(self._state(idx, x))
 
     def component_loss(self, i: int, x: np.ndarray) -> float:
         """Loss of component i at x."""
@@ -82,23 +132,6 @@ class FiniteSumProblem(abc.ABC):
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self.grad_batch(slice(None), x)
-
-    def loss_grad_batch(self, idx, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(loss_batch(idx, x), grad_batch(idx, x)), bit for bit.
-
-        A problem whose loss and gradient share a forward pass overrides this
-        to make that pass once.
-        """
-        return self.loss_batch(idx, x), self.grad_batch(idx, x)
-
-    def grad_batch_restricted(self, idx: np.ndarray, x: np.ndarray,
-                              coords: np.ndarray) -> np.ndarray:
-        """Batch gradient entries at `coords`, in the order of `coords`.
-
-        Equals grad_batch(idx, x)[coords] bit for bit; a problem may override
-        it to skip forming the d-length gradient.
-        """
-        return self.grad_batch(idx, x)[coords]
 
     def smoothness_hint(self):
         """Closed-form component-Lipschitz constant, when one is known."""
@@ -129,34 +162,22 @@ class LeastSquaresProblem(FiniteSumProblem):
         self.A, self.b, self.ridge = A, b, float(ridge)
         self.n, self.d = A.shape
 
-    def _residual(self, idx, x):
-        """The rows in idx and their residuals A[idx] @ x - b[idx]."""
+    def _pass(self, idx, x):
+        """x, the rows in idx and their residuals A[idx] @ x - b[idx]."""
         sub = self.A[idx]
-        return sub, sub @ x - self.b[idx]
+        return x, sub, sub @ x - self.b[idx]
 
-    def _loss(self, r, x):
+    def _loss(self, state):
+        x, _, r = state
         return 0.5 * float(r @ r) / len(r) + 0.5 * self.ridge * float(x @ x)
 
-    def _grad(self, sub, r, x):
-        return sub.T @ r / len(r) + self.ridge * x
+    def _grad(self, state, coords):
+        x, sub, r = state
+        return (sub.T @ r / len(r) + self.ridge * x)[coords]
 
-    def loss_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        return self._loss(self._residual(idx, x)[1], x)
-
-    def grad_components(self, idx, x):
-        x = as_vector(x, self.d)
-        sub, r = self._residual(idx, x)
+    def _components(self, state):
+        x, sub, r = state
         return sub * r[:, None] + self.ridge * x[None, :]
-
-    def grad_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        return self._grad(*self._residual(idx, x), x)
-
-    def loss_grad_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        sub, r = self._residual(idx, x)
-        return self._loss(r, x), self._grad(sub, r, x)
 
     def smoothness_hint(self):
         return float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
@@ -190,37 +211,28 @@ class LogisticProblem(FiniteSumProblem):
         self.A, self.y, self.ridge = A, y, float(ridge)
         self.n, self.d = A.shape
 
-    def _margins(self, idx, x):
-        return self.y[idx] * (self.A[idx] @ x)
+    def _pass(self, idx, x):
+        """x, the rows and labels in idx and their margins y_i a_i.x."""
+        sub, y = self.A[idx], self.y[idx]
+        return x, sub, y, y * (sub @ x)
 
-    def _loss(self, z, x):
+    def _loss(self, state):
+        x, _, _, z = state
         return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.ridge * float(x @ x)
 
-    def _weights(self, idx, z):
-        """d loss_i / d (a_i.x) for the components in idx."""
-        return -self.y[idx] * _sigmoid(-z)
+    @staticmethod
+    def _weights(y, z):
+        """d loss_i / d (a_i.x) for labels y and margins z."""
+        return -y * _sigmoid(-z)
 
-    def _grad(self, idx, z, x):
-        w = self._weights(idx, z)
-        return self.A[idx].T @ w / len(w) + self.ridge * x
+    def _grad(self, state, coords):
+        x, sub, y, z = state
+        w = self._weights(y, z)
+        return (sub.T @ w / len(w) + self.ridge * x)[coords]
 
-    def loss_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        return self._loss(self._margins(idx, x), x)
-
-    def grad_components(self, idx, x):
-        x = as_vector(x, self.d)
-        w = self._weights(idx, self._margins(idx, x))
-        return self.A[idx] * w[:, None] + self.ridge * x[None, :]
-
-    def grad_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        return self._grad(idx, self._margins(idx, x), x)
-
-    def loss_grad_batch(self, idx, x):
-        x = as_vector(x, self.d)
-        z = self._margins(idx, x)
-        return self._loss(z, x), self._grad(idx, z, x)
+    def _components(self, state):
+        x, sub, y, z = state
+        return sub * self._weights(y, z)[:, None] + self.ridge * x[None, :]
 
     def smoothness_hint(self):
         return 0.25 * float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
@@ -246,8 +258,8 @@ class MLPProblem(FiniteSumProblem):
     vector; `param_blocks` exposes the per-layer ranges so the optimizer
     can split its sparsity budget across layers.  Backprop is written by
     hand on numpy, in place where it can be: each layer's weight and bias
-    sums go straight into one d-length vector, which the batch gradients
-    scale in place and the restricted oracle gathers from.
+    sums go straight into one d-length vector, from which `_grad` gathers
+    the requested entries and scales only those.
     """
 
     def __init__(self, layer_sizes, X: np.ndarray, labels: np.ndarray):
@@ -303,21 +315,24 @@ class MLPProblem(FiniteSumProblem):
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
-    def _forward_pass(self, idx, x):
-        """(params, activations, log-probabilities) for the samples in idx:
-        the one forward pass that the loss and the backprop both read."""
-        params = self._unpack(as_vector(x, self.d))
+    def _pass(self, idx, x):
+        """(labels, params, activations, log-probabilities) of the samples
+        in idx: the one forward pass that the loss and the backprop read."""
+        params = self._unpack(x)
         acts = self._forward(params, self.X[idx])
-        return params, acts, self._log_softmax(acts[-1])
+        return self.labels[idx], params, acts, self._log_softmax(acts[-1])
 
-    def _nll(self, idx, logp):
-        """Mean cross-entropy of the samples in idx."""
-        return float(-np.mean(logp[np.arange(len(logp)), self.labels[idx]]))
+    def _loss(self, state):
+        """Mean cross-entropy."""
+        labels, _, _, logp = state
+        return float(-np.mean(logp[np.arange(len(logp)), labels]))
 
-    def _deltas(self, idx, params, acts, logp):
-        """Backprop error signals per layer for the given samples."""
+    @staticmethod
+    def _deltas(state):
+        """Backprop error signals per layer."""
+        labels, params, acts, logp = state
         delta = np.exp(logp)
-        delta[np.arange(len(delta)), self.labels[idx]] -= 1.0
+        delta[np.arange(len(delta)), labels] -= 1.0
         deltas = [None] * len(params)
         deltas[-1] = delta
         for li in range(len(params) - 2, -1, -1):
@@ -330,47 +345,28 @@ class MLPProblem(FiniteSumProblem):
             deltas[li] = t
         return deltas
 
-    def _grad_sum(self, idx, params, acts, logp):
-        """The d-length gradient summed over the samples in idx, each layer's
-        weight and bias sums written in place, and the 1/len(idx) that turns
-        the sum into the mean."""
-        deltas = self._deltas(idx, params, acts, logp)
+    def _grad(self, state, coords):
+        """The d-length gradient sum, each layer's weight and bias sums
+        written in place; the entries at `coords` are gathered from it and
+        only they are scaled by 1/batch, so every `coords` gets the bits of
+        the full gradient."""
+        acts, deltas = state[2], self._deltas(state)
         g = np.empty(self.d)
         for (w_lo, w_hi, b_lo, b_hi, nin, nout), a, delta in zip(
                 self._layout, acts, deltas):
             np.matmul(a.T, delta, out=g[w_lo:w_hi].reshape(nin, nout))
             np.sum(delta, axis=0, out=g[b_lo:b_hi])
-        return g, 1.0 / len(deltas[-1])
-
-    def loss_batch(self, idx, x):
-        return self._nll(idx, self._forward_pass(idx, x)[2])
-
-    def grad_batch(self, idx, x):
-        g, scale = self._grad_sum(idx, *self._forward_pass(idx, x))
-        g *= scale
-        return g
-
-    def loss_grad_batch(self, idx, x):
-        fwd = self._forward_pass(idx, x)
-        g, scale = self._grad_sum(idx, *fwd)
-        g *= scale
-        return self._nll(idx, fwd[2]), g
-
-    def grad_batch_restricted(self, idx, x, coords):
-        """Scales only the entries at `coords` of the sum that grad_batch
-        scales in full, so the values are the same bits."""
-        g, scale = self._grad_sum(idx, *self._forward_pass(idx, x))
         out = g[coords]
-        out *= scale
+        out *= 1.0 / len(deltas[-1])
         return out
 
-    def grad_components(self, idx, x):
-        params, acts, logp = self._forward_pass(idx, x)
-        deltas = self._deltas(idx, params, acts, logp)
-        out = np.zeros((len(idx), self.d))
+    def _components(self, state):
+        acts, deltas = state[2], self._deltas(state)
+        rows = len(acts[0])
+        out = np.zeros((rows, self.d))
         for li, (w_lo, w_hi, b_lo, b_hi, nin, nout) in enumerate(self._layout):
             per = np.einsum("bi,bj->bij", acts[li], deltas[li])
-            out[:, w_lo:w_hi] = per.reshape(len(idx), nin * nout)
+            out[:, w_lo:w_hi] = per.reshape(rows, nin * nout)
             out[:, b_lo:b_hi] = deltas[li]
         return out
 
@@ -419,51 +415,42 @@ class MatrixFactorizationProblem(FiniteSumProblem):
         qc = self.n_rows * r + v[:, None] * r + np.arange(r)[None, :]
         return pc, qc
 
-    def _gather(self, idx, x):
+    def _pass(self, idx, x):
         """Rows u, columns v, factor rows P_u, Q_v and residuals
         P_u.Q_v - R_uv of the components in idx."""
-        p, q = self._factors(as_vector(x, self.d))
+        p, q = self._factors(x)
         u, v = self.rows[idx], self.cols[idx]
         pu, qv = p[u], q[v]
         return u, v, pu, qv, np.sum(pu * qv, axis=1) - self.vals[idx]
 
-    def _loss(self, gathered):
-        _, _, pu, qv, e = gathered
+    def _loss(self, state):
+        _, _, pu, qv, e = state
         reg = 0.5 * self.ridge * (np.sum(pu * pu, axis=1) + np.sum(qv * qv, axis=1))
         return float(np.mean(0.5 * e * e + reg))
 
-    def _component_grads(self, gathered):
+    def _component_grads(self, state):
         """Coordinates (pc, qc) and values (gp, gq) of each component gradient."""
-        u, v, pu, qv, e = gathered
+        u, v, pu, qv, e = state
         gp = e[:, None] * qv + self.ridge * pu
         gq = e[:, None] * pu + self.ridge * qv
         return (*self._coords(u, v), gp, gq)
 
-    def _grad(self, gathered):
-        pc, qc, gp, gq = self._component_grads(gathered)
+    def _grad(self, state, coords):
+        pc, qc, gp, gq = self._component_grads(state)
         out = np.zeros(self.d)
         # duplicate (u, v) rows in a batch must accumulate
         np.add.at(out, pc.ravel(), gp.ravel())
         np.add.at(out, qc.ravel(), gq.ravel())
-        return out / len(gp)
+        out /= len(gp)
+        return out[coords]
 
-    def loss_batch(self, idx, x):
-        return self._loss(self._gather(idx, x))
-
-    def grad_components(self, idx, x):
-        pc, qc, gp, gq = self._component_grads(self._gather(idx, x))
+    def _components(self, state):
+        pc, qc, gp, gq = self._component_grads(state)
         out = np.zeros((len(gp), self.d))
         rowsel = np.arange(len(gp))[:, None]
         out[rowsel, pc] = gp
         out[rowsel, qc] = gq
         return out
-
-    def grad_batch(self, idx, x):
-        return self._grad(self._gather(idx, x))
-
-    def loss_grad_batch(self, idx, x):
-        gathered = self._gather(idx, x)
-        return self._loss(gathered), self._grad(gathered)
 
 
 @dataclass(frozen=True)
@@ -519,11 +506,10 @@ def estimate_constants(problem: FiniteSumProblem, probe_points,
         raise ValueError("need at least one probe point")
 
     sigma2 = 0.0
-    chunk = 4096
+    every = np.arange(problem.n, dtype=np.int64)
     for x in probes:
         acc = 0.0
-        for lo in range(0, problem.n, chunk):
-            idx = np.arange(lo, min(lo + chunk, problem.n), dtype=np.int64)
+        for idx in component_chunks(every, problem.d):
             comps = problem.grad_components(idx, x)
             acc += float(np.sum(comps * comps))
         sigma2 = max(sigma2, acc / problem.n)

@@ -276,6 +276,7 @@ class TestMainEntrypoint:
 
     @pytest.mark.parametrize("line", [
         "opt.eta_decay = nan", "opt.eta_decay = 0", "opt.eta_decay = -1",
+        "opt.steps = 0", "opt.steps = -3",
         "run.target_grad_norm = nan", "run.target_grad_norm = -1"])
     def test_run_rejects_bad_sgd_or_target_value_before_creating_output(
             self, tmp_path, capsys, line):

@@ -6,7 +6,10 @@ import pytest
 
 from sparsevr.diagnostics import (QueryMeter, entropy_bits,
                                   estimate_estimator_variance, measure_g_G)
-from sparsevr.problems import LeastSquaresProblem, gen_gaussian_ls
+from sparsevr import problems
+from sparsevr.problems import (LeastSquaresProblem, MLPProblem,
+                               estimate_constants, gen_class_blobs,
+                               gen_gaussian_ls)
 from sparsevr.sampling import RngStream, sample_batch
 from sparsevr.sparsity import SparsityParams, rtop, top_neg_k1
 from sparsevr.vecops import norm2_sq
@@ -144,6 +147,43 @@ class TestMeasureGG:
             cap = measure_g_G(p, memory, x1, x0, k1=3, b=4)
             assert cap.g <= cap.G * (1 + 1e-9) + 1e-12
             assert cap.R == pytest.approx(cap.g + cap.G / 4)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_component_sweeps_stay_under_the_chunk_limit(self, monkeypatch,
+                                                         rows):
+        # With the limit cut to `rows` rows of d floats, every per-component
+        # matrix that measure_g_G and estimate_constants ask for fits under
+        # it, and g, G and sigma^2 match the one-chunk sweep.
+        xs, labs = gen_class_blobs(40, 6, 3, seed=30)
+        p = MLPProblem([6, 5, 3], xs, labs)
+        rng = np.random.default_rng(31)
+        x0 = rng.standard_normal(p.d)
+        x1 = x0 + 0.1 * rng.standard_normal(p.d)
+        memory = rng.random(p.d)
+
+        def sweeps():
+            cap = measure_g_G(p, memory, x1, x0, k1=9, b=4)
+            sigma2 = estimate_constants(p, [x0, x1], reference=None).sigma2
+            return cap.g, cap.G, sigma2
+
+        whole = sweeps()
+        limit = rows * p.d + p.d - 1
+        monkeypatch.setattr(problems, "CHUNK_FLOATS", limit)
+        sizes, real = [], p.grad_components
+
+        def grad_components(idx, x):
+            out = real(idx, x)
+            sizes.append((len(idx), out.size))
+            return out
+
+        monkeypatch.setattr(p, "grad_components", grad_components)
+        chunked = sweeps()
+        # measure_g_G sweeps twice per chunk, estimate_constants once per probe
+        assert len(sizes) == 4 * math.ceil(p.n / rows)
+        assert all(size <= limit and n_rows <= rows for n_rows, size in sizes)
+        assert chunked[0] == whole[0]   # g comes from the full gradients
+        for got, want in zip(chunked[1:], whole[1:]):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_matches_dense_oracle(self):
         # recompute g and G directly from masked per-component differences

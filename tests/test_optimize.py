@@ -11,9 +11,9 @@ from sparsevr.optimize import (HyperparamInputs, RunConfig,
                                data_adaptive_hyperparams, ema_update, run_sgd,
                                run_sparse_spiderboost, run_spiderboost_dense,
                                worst_case_hyperparams)
-from sparsevr.problems import (FiniteSumProblem, LeastSquaresProblem,
-                               LogisticProblem, MatrixFactorizationProblem,
-                               MLPProblem, ProblemConstants, gen_class_blobs,
+from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
+                               MatrixFactorizationProblem, MLPProblem,
+                               ProblemConstants, gen_class_blobs,
                                gen_gaussian_ls, gen_logistic_blobs,
                                gen_low_rank_ratings, gen_planted_ls)
 from sparsevr import optimize, sparsity
@@ -594,10 +594,10 @@ def trajectory(x, rec):
 
 
 def unfused(monkeypatch, prob):
-    """Give the problem's class the base-class loss_grad_batch, which calls
-    loss_batch and grad_batch separately."""
-    monkeypatch.setattr(type(prob), "loss_grad_batch",
-                        FiniteSumProblem.loss_grad_batch)
+    """Give the problem a loss_grad_batch that makes two separate calls,
+    loss_batch and then grad_batch."""
+    monkeypatch.setattr(prob, "loss_grad_batch", lambda idx, x: (
+        prob.loss_batch(idx, x), prob.grad_batch(idx, x)))
 
 
 class TestDiagnosticsTakeOnePass:

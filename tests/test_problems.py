@@ -123,16 +123,6 @@ class TestMLP:
         rel = np.max(np.abs(g - fd)) / (np.max(np.abs(fd)) + 1e-12)
         assert rel <= 1e-4
 
-    def test_restricted_full_mask_equals_dense(self):
-        xs, labs = gen_class_blobs(10, 3, 2, seed=15)
-        p = MLPProblem([3, 4, 2], xs, labs)
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal(p.d)
-        idx = np.array([1, 4, 7])
-        dense = p.grad_batch(idx, x)
-        restricted = p.grad_batch_restricted(idx, x, np.arange(p.d))
-        assert np.array_equal(dense, restricted)
-
     def test_restricted_in_the_loops_block_order(self):
         # Per layer: top slots then random slots, each ascending, so the
         # coords are unsorted and mix weights and biases of both layers.
@@ -354,6 +344,19 @@ class TestOracleConsistency:
             restricted = problem.grad_batch_restricted(idx, x, coords)
             assert restricted.shape == (len(coords),)
             assert np.array_equal(problem.grad_batch(idx, x)[coords], restricted)
+
+    @pytest.mark.parametrize("problem", all_desk_problems(),
+                             ids=lambda p: type(p).__name__)
+    def test_restricted_full_mask_equals_dense(self, problem):
+        # The dense gradient is the restricted one at full support.
+        rng = np.random.default_rng(16)
+        for size in (1, 3, problem.n):
+            x = rng.standard_normal(problem.d)
+            idx = np.sort(rng.choice(problem.n, size=size, replace=False))
+            restricted = problem.grad_batch_restricted(idx, x,
+                                                       np.arange(problem.d))
+            assert (restricted.tobytes()
+                    == problem.grad_batch(idx, x).tobytes())
 
     @pytest.mark.parametrize("problem", all_desk_problems(),
                              ids=lambda p: type(p).__name__)
