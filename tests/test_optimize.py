@@ -593,11 +593,12 @@ def trajectory(x, rec):
             [(r.loss, r.grad_norm, r.entropy) for r in rec.rows])
 
 
-def unfused(monkeypatch, prob):
-    """Give the problem a loss_grad_batch that makes two separate calls,
+def unfused(monkeypatch, *probs):
+    """Give each problem a loss_grad_batch that makes two separate calls,
     loss_batch and then grad_batch."""
-    monkeypatch.setattr(prob, "loss_grad_batch", lambda idx, x: (
-        prob.loss_batch(idx, x), prob.grad_batch(idx, x)))
+    for prob in probs:
+        monkeypatch.setattr(prob, "loss_grad_batch", lambda idx, x, p=prob: (
+            p.loss_batch(idx, x), p.grad_batch(idx, x)))
 
 
 class TestDiagnosticsTakeOnePass:
@@ -649,7 +650,7 @@ class TestDiagnosticsTakeOnePass:
                    seed=6, record_every=1, record_grad_norm=True)
         fused = [trajectory(*run_sparse_spiderboost(cfg)),
                  trajectory(*run_sgd(**sgd))]
-        unfused(monkeypatch, cfg.problem)
+        unfused(monkeypatch, cfg.problem, sgd["problem"])
         separate = [trajectory(*run_sparse_spiderboost(cfg)),
                     trajectory(*run_sgd(**sgd))]
         assert fused == separate
