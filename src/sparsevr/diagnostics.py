@@ -6,7 +6,7 @@ d coordinates costs k/d units, so tests can demand equality rather than
 tolerance.  Entropy of the normalized memory vector quantifies how much
 structure the per-coordinate gradient magnitudes exhibit; the capture
 quantities g and G measure how much gradient-difference energy escapes
-the top-k1 selection.
+a given top-k1 selection.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .problems import component_chunks
-from .sparsity import select_top_k1
 from .vecops import as_vector
 
 
@@ -102,11 +101,13 @@ class SparsityCapture:
     components_used: int
 
 
-def measure_g_G(problem, memory: np.ndarray, x_next: np.ndarray,
-                x_prev: np.ndarray, k1: int, b: int,
-                rng=None, max_components: int = 10_000,
+def measure_g_G(problem, top, x_next: np.ndarray, x_prev: np.ndarray,
+                b: int, rng=None, max_components: int = 10_000,
                 grad_prev: np.ndarray | None = None) -> SparsityCapture:
-    """Measure g, G and R = g + G/b for one (x_prev -> x_next) transition.
+    """Measure g, G and R = g + G/b for one (x_prev -> x_next) transition,
+    counting the energy outside the coordinates `top`, an integer index
+    array (the selected top-k1 set; the optimizer passes the one its next
+    step selects).
 
     g uses the full gradient difference; a caller that already holds
     full_grad(x_prev) passes it as `grad_prev` and saves one full-data
@@ -117,11 +118,15 @@ def measure_g_G(problem, memory: np.ndarray, x_next: np.ndarray,
     """
     if b < 1:
         raise ValueError("b must be positive")
-    memory = as_vector(memory, problem.d)
+    top = np.asarray(top)
+    if (top.ndim != 1 or top.dtype.kind not in "iu"
+            or top.size and not 0 <= top.min() <= top.max() < problem.d):
+        raise ValueError("top must be a 1-D integer array of indices in "
+                         f"range(d={problem.d})")
     x_next = as_vector(x_next, problem.d)
     x_prev = as_vector(x_prev, problem.d)
     keep = np.ones(problem.d, dtype=bool)
-    keep[select_top_k1(memory, k1)] = False
+    keep[top] = False
 
     if grad_prev is None:
         grad_prev = problem.full_grad(x_prev)

@@ -16,13 +16,16 @@ selected coordinates (see `problems`): it still runs the dense kernel (for
 the network, the dense backprop) and gathers from it, so the k/d saving
 is in the meter, not in its wall-clock.
 Each block's top-k1 selection scans only the memory entries not below the
-smallest one at its previous selection (see `draw_support`).  The dense
-baseline is the same loop at k1+k2 = d, where every block is the identity
-and the step uses the dense batch gradient.  The memory vector exists only
-to score the top-k1 slots, so the identity path keeps none: no memory, no
-EMA and no entropy (its rows report None), and a capture probe, which
-scores by memory, is a config error there.  It still draws the memory's
-initial batch, so both paths share one batch stream.
+smallest one at its previous selection (see `draw_support`).  The inner
+step runs the algorithm only: criterion 09 (`checks`) checks from outside
+the loop that each restricted result equals the dense gradient at its
+coordinates.  The dense baseline is the same loop at k1+k2 = d, where
+every block is the identity and the step uses the dense batch gradient.
+The memory vector exists only to score the top-k1 slots, so the identity
+path keeps none: no memory, no EMA and no entropy (its rows report None),
+and a capture probe, which scores by memory, is a config error there.  It
+still draws the memory's initial batch, so both paths share one batch
+stream.
 
 The d-vectors each sparse inner step derives from nu, the step eta_t*nu
 and the memory increment alpha*|nu|, are kept next to nu.  They are built
@@ -36,11 +39,12 @@ costs one pass over d (`x - step`) and the EMA two.
 Diagnostics take one data pass per outer loop (and per SGD checkpoint):
 the fused `loss_grad_batch` when a gradient norm is recorded or targeted,
 `full_loss` otherwise; a capture probe reuses the fused gradient at the
-outer-loop iterate.  Each row reports that time as `diag_ms`, which is
-part of its `wall_ms`.  The divergence ceiling needs f(x0), but no finite
-loss at or below DIVERGENCE_FACTOR can pass it, so f(x0) is evaluated only
-when a loss first does, at most once per run; a run whose losses stay
-below that makes no data pass at x0.
+outer-loop iterate and measures the residual outside the top-k1 set the
+next step selects, block by block.  Each row reports that time as
+`diag_ms`, which is part of its `wall_ms`.  The divergence ceiling needs
+f(x0), but no finite loss at or below DIVERGENCE_FACTOR can pass it, so
+f(x0) is evaluated only when a loss first does, at most once per run; a
+run whose losses stay below that makes no data pass at x0.
 
 Also here: plain batch SGD, the exponential-moving-average memory
 update, and the two hyperparameter calculators.
@@ -118,7 +122,6 @@ class RunConfig:
     record_grad_norm: bool = True
     record_capture: bool = False
     keep_iterates: bool = False
-    debug_check_restricted: bool = False
     target_grad_norm: float | None = None
 
     def validate(self) -> None:
@@ -397,24 +400,13 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 else:
                     parts = []
                     for i, (lo, p) in enumerate(blocks):
-                        block = memory[lo:lo + p.d]
-                        top, rand = draw_support(block, p, op_rng, tops[i])
-                        if cfg.debug_check_restricted and not np.array_equal(
-                                top, select_top_k1(block, p.k1)):
-                            raise RuntimeError("carried top-k1 selection "
-                                               "diverged from select_top_k1")
+                        top, rand = draw_support(memory[lo:lo + p.d], p,
+                                                 op_rng, tops[i])
                         tops[i] = top
                         parts += [lo + top, lo + rand]
                     coords = np.concatenate(parts)
                     diff = (prob.grad_batch_restricted(i_t, x_new, coords)
                             - prob.grad_batch_restricted(i_t, x, coords))
-                    if cfg.debug_check_restricted:
-                        dense_diff = (prob.grad_batch(i_t, x_new)
-                                      - prob.grad_batch(i_t, x))
-                        if not np.array_equal(dense_diff[coords], diff):
-                            raise RuntimeError(
-                                "restricted-oracle update diverged from the "
-                                "dense masked update")
                     nu[coords] += scales * diff
                     nu_k = nu[coords]
                     step[coords] = step_eta * nu_k
@@ -431,8 +423,12 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
 
             g_val = big_g_val = r_val = None
             if cfg.record_capture:
+                # the top-k1 set the next step selects, block by block
+                top = np.concatenate([lo + select_top_k1(memory[lo:lo + p.d],
+                                                         p.k1)
+                                      for lo, p in blocks])
                 x_virtual = x - _inner_eta(cfg, n_j) * nu
-                cap = measure_g_G(prob, memory, x_virtual, x, cfg.k1, cfg.b,
+                cap = measure_g_G(prob, top, x_virtual, x, cfg.b,
                                   rng=capture_rng, grad_prev=grad)
                 g_val, big_g_val, r_val = cap.g, cap.G, cap.R
 

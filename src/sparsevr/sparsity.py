@@ -6,8 +6,10 @@ by (d - k1)/k2, which makes the output an unbiased estimate of y; it
 returns that estimate as a dense vector.  The operator is defined once:
 `draw_support` draws the support and `slot_scale` gives the factor of
 each slot, and both `rtop` and the optimizer's inner step are built from
-the two.  `top_neg_k1` is the residual of y on the non-selected
-coordinates; its squared norm drives the operator's variance.
+the two.  `select_top_k1` is the one top-k1 selection: each draw calls it
+once, on the whole score or, given the previous selection, on the entries
+that can still be selected.  `top_neg_k1` is the residual of y on the
+non-selected coordinates; its squared norm drives the operator's variance.
 `rtop_enumerate` computes the exact mean and variance by brute-force
 enumeration of every random subset and serves as the test oracle for the
 closed-form variance.
@@ -92,28 +94,19 @@ def select_top_k1(score: np.ndarray, k1: int) -> np.ndarray:
 
 def _top_k1_above_prev(memory: np.ndarray, k1: int,
                        prev_top: np.ndarray) -> np.ndarray:
-    """select_top_k1(memory, k1) for a nonnegative block, partitioning only
-    the candidates ~(memory < b), b = min(memory[prev_top]); see
+    """select_top_k1(memory, k1) for a nonnegative block, selecting only
+    among the candidates ~(memory < b), b = min(memory[prev_top]); see
     `draw_support` for why they hold the whole selection.
 
-    The complement form keeps NaN as a candidate (b is NaN if prev_top
-    holds one), so the finiteness check on the candidates rejects any NaN
-    or +Inf in the block, as select_top_k1 does.
+    The candidates are ascending, so select_top_k1's tie-break toward the
+    smaller index carries over.  The complement form keeps NaN as a
+    candidate (b is NaN if prev_top holds one), so select_top_k1's
+    finiteness check rejects any NaN or +Inf in the block.
     """
-    bound = memory[prev_top].min()
-    cand = np.flatnonzero(~(memory < bound))
-    vals = memory[cand]
-    if not np.isfinite(vals).all():
-        raise ValueError("vector contains NaN or Inf")
+    cand = np.flatnonzero(~(memory < memory[prev_top].min()))
     if cand.size < k1:
         raise ValueError("prev_top must hold k1 distinct indices")
-    kth = np.partition(vals, cand.size - k1)[cand.size - k1]
-    sel = cand[vals > kth]
-    need = k1 - sel.size
-    if need > 0:
-        ties = cand[vals == kth][:need]
-        sel = np.sort(np.concatenate([sel, ties]))
-    return sel.astype(np.int64)
+    return cand[select_top_k1(memory[cand], k1)]
 
 
 def top_neg_k1(score: np.ndarray, y: np.ndarray, k1: int) -> np.ndarray:
@@ -131,10 +124,11 @@ def draw_support(score: np.ndarray, p: SparsityParams, rng: RngStream,
 
     The top part is `select_top_k1(score, p.k1)`.  Given `prev_top`, any
     k1 distinct indices of a nonnegative `score` (the optimizer passes the
-    block's previous selection from its EMA memory), only the entries not
-    below b = min(score[prev_top]) are scanned: the k1 entries at prev_top
-    are all >= b, so the k1-th largest entry is >= b too, and no entry
-    below b can be selected.  The result is the same indices.
+    block's previous selection from its EMA memory), select_top_k1 runs on
+    the entries not below b = min(score[prev_top]) only: the k1 entries at
+    prev_top are all >= b, so the k1-th largest entry is >= b too, and no
+    entry below b can be selected.  The result is the same indices, and
+    every draw makes exactly one select_top_k1 call.
 
     The random part is a uniform size-k2 subset of the complement of the
     selected top set, ascending.  It draws ranks s in range(d - k1) and maps

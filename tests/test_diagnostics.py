@@ -11,7 +11,7 @@ from sparsevr.problems import (LeastSquaresProblem, MLPProblem,
                                estimate_constants, gen_class_blobs,
                                gen_gaussian_ls)
 from sparsevr.sampling import RngStream, sample_batch
-from sparsevr.sparsity import SparsityParams, rtop, top_neg_k1
+from sparsevr.sparsity import SparsityParams, rtop, select_top_k1, top_neg_k1
 from sparsevr.vecops import norm2_sq
 
 
@@ -127,14 +127,14 @@ class TestMeasureGG:
     def test_zero_difference_gives_zero(self):
         p = self._problem()
         x = np.ones(8)
-        cap = measure_g_G(p, np.ones(8), x, x, k1=2, b=4)
+        cap = measure_g_G(p, np.array([0, 1]), x, x, b=4)
         assert cap.g == 0.0 and cap.G == 0.0 and cap.R == 0.0
 
     def test_full_mask_gives_zero(self):
         p = self._problem()
         rng = np.random.default_rng(5)
-        cap = measure_g_G(p, np.ones(8), rng.standard_normal(8),
-                          rng.standard_normal(8), k1=8, b=4)
+        cap = measure_g_G(p, np.arange(8), rng.standard_normal(8),
+                          rng.standard_normal(8), b=4)
         assert cap.g == 0.0 and cap.G == 0.0
 
     def test_g_at_most_G(self):
@@ -144,7 +144,7 @@ class TestMeasureGG:
             memory = rng.random(8) + 0.01
             x0 = rng.standard_normal(8)
             x1 = x0 + 0.1 * rng.standard_normal(8)
-            cap = measure_g_G(p, memory, x1, x0, k1=3, b=4)
+            cap = measure_g_G(p, select_top_k1(memory, 3), x1, x0, b=4)
             assert cap.g <= cap.G * (1 + 1e-9) + 1e-12
             assert cap.R == pytest.approx(cap.g + cap.G / 4)
 
@@ -162,7 +162,7 @@ class TestMeasureGG:
         memory = rng.random(p.d)
 
         def sweeps():
-            cap = measure_g_G(p, memory, x1, x0, k1=9, b=4)
+            cap = measure_g_G(p, select_top_k1(memory, 9), x1, x0, b=4)
             sigma2 = estimate_constants(p, [x0, x1], reference=None).sigma2
             return cap.g, cap.G, sigma2
 
@@ -192,7 +192,7 @@ class TestMeasureGG:
         memory = rng.random(8)
         x0, x1 = rng.standard_normal(8), rng.standard_normal(8)
         k1 = 3
-        cap = measure_g_G(p, memory, x1, x0, k1=k1, b=5)
+        cap = measure_g_G(p, select_top_k1(memory, k1), x1, x0, b=5)
         g_oracle = norm2_sq(top_neg_k1(memory, p.full_grad(x1) - p.full_grad(x0), k1))
         per = [norm2_sq(top_neg_k1(memory,
                                    p.grad_batch(np.array([i]), x1)
@@ -213,15 +213,15 @@ class TestMeasureGG:
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal(8)
         x1 = x0 + rng.standard_normal(8)
-        cap = measure_g_G(p, memory, x1, x0, k1=2, b=3)
+        cap = measure_g_G(p, select_top_k1(memory, 2), x1, x0, b=3)
         assert cap.g <= 1e-20 and cap.G <= 1e-20
 
     def test_subsample_requires_rng(self):
         p = self._problem()
         with pytest.raises(ValueError):
-            measure_g_G(p, np.ones(8), np.ones(8), np.zeros(8), k1=1, b=2,
+            measure_g_G(p, np.array([0]), np.ones(8), np.zeros(8), b=2,
                         max_components=10)
-        cap = measure_g_G(p, np.ones(8), np.ones(8), np.zeros(8), k1=1, b=2,
+        cap = measure_g_G(p, np.array([0]), np.ones(8), np.zeros(8), b=2,
                           max_components=10, rng=RngStream(1, 1))
         assert cap.components_used == 10
 
@@ -236,9 +236,11 @@ class TestMeasureGG:
         a, b, _ = gen_gaussian_ls(30, 8, seed=4)
         p = NoOracle(a, b)
         with pytest.raises(ValueError, match="b must be positive"):
-            measure_g_G(p, np.ones(8), np.ones(8), np.zeros(8), k1=1, b=0)
-        with pytest.raises(ValueError, match="k1=9 out of range"):
-            measure_g_G(p, np.ones(8), np.ones(8), np.zeros(8), k1=9, b=2)
+            measure_g_G(p, np.array([0]), np.ones(8), np.zeros(8), b=0)
+        for top in (np.array([8]), np.array([-1]), np.array([0.0]),
+                    np.zeros((1, 1), dtype=np.int64)):
+            with pytest.raises(ValueError, match="top must be"):
+                measure_g_G(p, top, np.ones(8), np.zeros(8), b=2)
 
 
 class TestEstimatorVariance:

@@ -16,7 +16,7 @@ from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
                                ProblemConstants, gen_class_blobs,
                                gen_gaussian_ls, gen_logistic_blobs,
                                gen_low_rank_ratings, gen_planted_ls)
-from sparsevr import optimize, sparsity
+from sparsevr import checks, optimize, sparsity
 from sparsevr.sampling import STREAM_OPERATOR, RngStream, sample_batch
 from sparsevr.sparsity import SparsityParams, rtop, select_top_k1, slot_scale
 from sparsevr.vecops import norm2_sq
@@ -292,14 +292,18 @@ class TestTheoryMode:
         assert 0 in record.inner_lengths()
 
 
+def fidelity_config(prob, k1, k2, x0=True):
+    x0 = 0.3 * np.random.default_rng(7).standard_normal(prob.d) if x0 else None
+    return RunConfig(problem=prob, eta=0.1, m=4, T=3, B=min(12, prob.n),
+                     b=min(3, prob.n), alpha=0.5, k1=k1, k2=k2, seed=0,
+                     x0=x0, record_grad_norm=False)
+
+
 class TestRestrictedFidelity:
-    def _run(self, prob, k1, k2, seed=0):
-        cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3,
-                        B=min(12, prob.n), b=min(3, prob.n), alpha=0.5,
-                        k1=k1, k2=k2, seed=seed,
-                        debug_check_restricted=True, record_grad_norm=False)
-        _, record = run_sparse_spiderboost(cfg)
-        assert not record.aborted
+    """Criterion 09's oracle check on small runs of every problem kind."""
+
+    def _run(self, prob, k1, k2):
+        checks.run_with_checked_oracle(fidelity_config(prob, k1, k2))
 
     def test_least_squares(self):
         a, b, _ = gen_gaussian_ls(30, 8, seed=14)
@@ -319,6 +323,24 @@ class TestRestrictedFidelity:
                                                       density=0.6)
         prob = MatrixFactorizationProblem(rows, cols, vals, 6, 5, 2)
         self._run(prob, 4, 4)
+
+    def test_catches_a_one_ulp_difference(self, monkeypatch):
+        prob, k1, k2 = selection_problems()[2]  # the blocked MLP
+        cfg = fidelity_config(prob, k1, k2)
+        checks.run_with_checked_oracle(cfg)
+        assert "grad_batch_restricted" not in vars(prob)  # left untouched
+        real = prob.grad_batch_restricted
+        monkeypatch.setattr(prob, "grad_batch_restricted", lambda idx, x, coords:
+                            np.nextafter(real(idx, x, coords), np.inf))
+        with pytest.raises(AssertionError, match="restricted gradient differs"):
+            checks.run_with_checked_oracle(cfg)
+
+    def test_rejects_a_run_that_never_moves(self):
+        # every matrix-factorization gradient vanishes at x = 0
+        prob, k1, k2 = selection_problems()[3]
+        with pytest.raises(AssertionError, match="never moved"):
+            checks.run_with_checked_oracle(fidelity_config(prob, k1, k2,
+                                                           x0=False))
 
 
 class TestLoopIsRtop:
@@ -391,12 +413,13 @@ class TestTopK1FromPrevious:
         params = allocate_block_sparsity(k1, k2, [hi - lo for lo, hi in ranges])
         assert all(0 < p.k1 < p.d for p in params)
         carried = sparsity._top_k1_above_prev
+        x0 = 0.3 * np.random.default_rng(8).standard_normal(prob.d)
         for alpha in (0.0, 0.5, 1.0):
             for mode in ("fixed", "geometric"):
                 cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3,
                                 B=min(12, prob.n), b=min(3, prob.n),
                                 alpha=alpha, k1=k1, k2=k2, inner_mode=mode,
-                                seed=3, record_grad_norm=False)
+                                seed=3, x0=x0, record_grad_norm=False)
                 calls = []
 
                 def counted(memory, k, prev_top):
@@ -416,20 +439,7 @@ class TestTopK1FromPrevious:
                 assert rec.meter.units == ref.meter.units
                 assert ([(r.loss, r.entropy) for r in rec.rows]
                         == [(r.loss, r.entropy) for r in ref.rows])
-
-    def test_debug_check_catches_a_wrong_selection(self, monkeypatch):
-        a, b, _ = gen_gaussian_ls(30, 8, seed=14)
-        cfg = RunConfig(problem=LeastSquaresProblem(a, b), eta=0.1, m=4, T=3,
-                        B=12, b=3, k1=2, k2=2, seed=0,
-                        debug_check_restricted=True, record_grad_norm=False)
-        run_sparse_spiderboost(cfg)
-        # the k1 smallest entries instead of the largest
-        monkeypatch.setattr(sparsity, "_top_k1_above_prev",
-                            lambda memory, k, _: select_top_k1(-1.0 / (1.0 + memory), k))
-        with pytest.raises(RuntimeError, match="top-k1"):
-            run_sparse_spiderboost(cfg)
-        _, record = run_sparse_spiderboost(replace(cfg, debug_check_restricted=False))
-        assert not record.aborted
+                assert not np.array_equal(x, x0)
 
 
 def same_bits(a, b):
@@ -510,9 +520,9 @@ class TestKeptInStepVectors:
 
 
 class TestIdentityKeepsNoMemory:
-    """At k1+k2 = d the loop is SpiderBoost: replayed from the batches it
-    draws, every step is x - eta_t*nu and every correction the dense batch
-    difference, bit for bit, with no memory gradient, EMA or entropy."""
+    """At k1+k2 = d the loop is SpiderBoost: it makes the same grad_batch
+    calls, on the same batches and iterates bit for bit, as criterion 05's
+    replay, with no memory gradient, EMA or entropy."""
 
     @pytest.mark.parametrize("eta_end", [None, 0.02])
     @pytest.mark.parametrize("runner", ["dense", "sparse-full-budget"])
@@ -521,7 +531,7 @@ class TestIdentityKeepsNoMemory:
         cfg = RunConfig(problem=prob, eta=0.1, eta_end=eta_end, m=4, T=3,
                         B=12, b=3, alpha=0.3, k1=2, k2=prob.d - 2, seed=6,
                         x0=0.3 * np.random.default_rng(7).standard_normal(prob.d),
-                        record_grad_norm=False)
+                        keep_iterates=True, record_grad_norm=False)
         batches, grads, calls = [], [], {"ema": 0, "entropy": 0}
         real_sample, real_grad = optimize.sample_batch, prob.grad_batch
 
@@ -550,26 +560,17 @@ class TestIdentityKeepsNoMemory:
         assert [row.entropy for row in record.rows] == [None] * cfg.T
 
         # The memory's initial batch is still drawn, but never evaluated.
-        m = cfg.m
-        assert len(batches) == 1 + cfg.T * (1 + m)
-        assert len(grads) == cfg.T * (1 + 2 * m)
+        assert len(batches) == 1 + cfg.T * (1 + cfg.m)
+        assert len(grads) == cfg.T * (1 + 2 * cfg.m)
         assert all(idx is not batches[0] for idx, _ in grads)
-        x, s = cfg.x0, 0
-        for j in range(cfg.T):
-            i_snap = batches[1 + j * (1 + m)]
-            assert grads[s][0] is i_snap and same_bits(grads[s][1], x)
-            nu = real_grad(i_snap, x)
-            s += 1
-            for t in range(m):
-                i_t = batches[2 + j * (1 + m) + t]
-                (i_new, x_new), (i_old, x_old) = grads[s:s + 2]
-                assert i_new is i_t and i_old is i_t
-                assert same_bits(x_old, x)
-                assert same_bits(x_new, x - optimize._inner_eta(cfg, t) * nu)
-                nu = nu + (real_grad(i_t, x_new) - real_grad(i_t, x))
-                x = x_new
-                s += 2
-        assert same_bits(x_out, x)
+        loop_grads = grads[:]
+        grads.clear()
+        want = checks.spiderboost_replay(cfg)
+        assert len(grads) == len(loop_grads)
+        for (i_loop, x_loop), (i_ref, x_ref) in zip(loop_grads, grads):
+            assert same_bits(i_loop, i_ref) and same_bits(x_loop, x_ref)
+        assert all(map(same_bits, record.iterates, want))
+        assert same_bits(x_out, want[-1])
 
 
 def count_diagnostic_calls(monkeypatch, prob):
@@ -678,6 +679,46 @@ class TestCaptureReusesTheFusedGradient:
         assert ([(r.g, r.G, r.R) for r in rec.rows]
                 == [(r.g, r.G, r.R) for r in again.rows])
         assert trajectory(x, rec) == trajectory(x_again, again)
+
+
+class TestCaptureScoresTheNextSelection:
+    def test_blocked_mlp(self, monkeypatch):
+        # The probe measures the residual outside the top-k1 set that the
+        # next inner step selects, block by block; on this network that set
+        # is not the global top-k1 of the memory.
+        xs, labs = gen_class_blobs(120, 6, 3, seed=93)
+        prob = MLPProblem([6, 10, 3], xs, labs)
+        cfg = RunConfig(problem=prob, eta=0.1, m=3, T=4, B=60, b=12, k1=10,
+                        k2=10, seed=5, record_capture=True,
+                        x0=0.3 * np.random.default_rng(9).standard_normal(prob.d),
+                        record_grad_norm=False)
+        draws, probes = [], []
+        real_draw, real_probe = optimize.draw_support, optimize.measure_g_G
+
+        def draw(block, p, rng, prev_top):
+            top, rand = real_draw(block, p, rng, prev_top)
+            draws.append((block.copy(), top))
+            return top, rand
+
+        def probe(problem, top, *args, **kw):
+            probes.append(top)
+            return real_probe(problem, top, *args, **kw)
+
+        monkeypatch.setattr(optimize, "draw_support", draw)
+        monkeypatch.setattr(optimize, "measure_g_G", probe)
+        _, record = run_sparse_spiderboost(cfg)
+        assert not record.aborted
+        offsets = [lo for lo, _ in optimize._operator_blocks(cfg)]
+        assert len(offsets) == 2 and len(probes) == cfg.T
+        steps = [draws[i:i + 2] for i in range(0, len(draws), 2)]
+        global_top = []
+        for j in range(cfg.T - 1):
+            first = steps[(j + 1) * cfg.m]  # the next outer loop's first step
+            want = np.concatenate([lo + top for lo, (_, top) in zip(offsets, first)])
+            assert same_bits(probes[j], want)
+            memory = np.concatenate([block for block, _ in first])
+            global_top.append(np.array_equal(want, select_top_k1(memory, cfg.k1)))
+        assert not any(global_top)
 
 
 class TestBlockAllocation:
@@ -932,6 +973,6 @@ class TestOneStepVarianceBound:
         comps = prob.grad_components(np.arange(prob.n), x1)
         pop_var = comps.var(axis=0).sum()
         sgd_var = pop_var * (prob.n - b) / (b * (prob.n - 1))
-        cap = measure_g_G(prob, memory, x1, x0, k1, b)
+        cap = measure_g_G(prob, select_top_k1(memory, k1), x1, x0, b)
         rhs = sgd_var + (10 - k1 - k2) / k2 * cap.R
         assert lhs <= rhs * (1 + 4.0 / math.sqrt(trials)) + 1e-12
