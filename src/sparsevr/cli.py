@@ -8,23 +8,27 @@ Verbs:
   hyper  print the calculator output for given accuracy and constants
 
 Configs are flat `section.key = value` lines; unknown or duplicate keys
-are rejected with their line number before any computation starts.  Each
-(algorithm, seed) run writes one CSV; an aggregate CSV keyed by
-queries-over-n bins is rebuilt from the per-run files afterwards.  Set
-SPARSE_VR_LOG=DEBUG|INFO|... for logging verbosity.
+are rejected with their line number before any computation starts.  A
+config is parsed into one validated run description per algorithm
+(`ExperimentSpec.runs`).  Each (algorithm, seed) cell runs its description
+at that seed and writes one CSV whose '#' header echoes it; an aggregate
+CSV keyed by queries-over-n bins is rebuilt from the per-run files
+afterwards.  Bad input is one `config error:` line on stderr, exit status
+2.  Set SPARSE_VR_LOG=DEBUG|INFO|... for logging verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
 import logging
-import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -76,6 +80,8 @@ def _parse_algs(s):
             raise ValueError(f"unknown algorithm {a!r} (choices: {ALGORITHMS})")
     if not algs:
         raise ValueError("need at least one algorithm")
+    if len(set(algs)) < len(algs):
+        raise ValueError(f"an algorithm is listed twice in {s!r}")
     return algs
 
 
@@ -91,9 +97,14 @@ def _parse_mode(s):
     return s
 
 
+# The two parameter rules by their config name; opt.rule = none sets neither.
+RULES = {"worst-case": worst_case_hyperparams,
+         "data-adaptive": data_adaptive_hyperparams}
+
+
 def _parse_rule(s):
-    if s not in ("none", "worst-case", "data-adaptive"):
-        raise ValueError(f"rule must be none/worst-case/data-adaptive, got {s!r}")
+    if s != "none" and s not in RULES:
+        raise ValueError(f"rule must be none/{'/'.join(RULES)}, got {s!r}")
     return s
 
 
@@ -142,41 +153,49 @@ _SCHEMA = {
     "run.target_grad_norm": (float, None),
 }
 
+# The problem.* keys `gen` takes as flags, with their schema parsers and
+# defaults; only n and d, which a config must set, have defaults of their own.
+_GEN_KEYS = ("seed", "n", "d", "s_active", "tau", "signal", "noise",
+            "separation", "rows", "cols", "rank", "density")
+_GEN_DEFAULTS = {"n": 200, "d": 20}
+
+# The scale of a seeded normal start for the kinds whose x = 0 traps every
+# run: the factorization's gradient vanishes there, and a network's hidden
+# units stay identical.  Other kinds start at x = 0.
+_START_SCALE = {"mlp-blobs": 0.05, "low-rank-ratings": 0.3,
+                "ratings-file": 0.3}
+
 
 class ExperimentSpec:
-    """Validated experiment description plus the constructed problem."""
+    """A validated experiment: its config values, the problem they build,
+    the start `x0` and `runs`, one run description per algorithm.  A
+    SpiderBoost variant's is its RunConfig (the dense one's at k1=0, k2=d)
+    with the rule's (B, m, eta, T) in place; SGD's is run_sgd's arguments
+    but the seed.  Each is validated once, here; a cell sets the seed."""
 
     def __init__(self, values: dict):
         self.values = values
         self.problem = build_problem(values)
         d = self.problem.d
-        if values["opt.k1"] is None:
-            values["opt.k1"] = max(1, round(0.05 * d))
-        if values["opt.k2"] is None:
-            values["opt.k2"] = max(1, round(0.05 * d))
+        for key in ("opt.k1", "opt.k2"):
+            if values[key] is None:
+                values[key] = max(1, round(0.05 * d))
         self.algorithms = values["opt.algorithm"]
         self._validate()
-        self._validate_run_config(None)
-        try:
-            validate_sgd_args(**_sgd_args(values, self.problem))
-        except ValueError as exc:
-            raise ConfigError(f"invalid opt.*/run.* values: {exc}") from exc
-        self.fragments = self._resolve_rule()
-        for fragment in self.fragments.values():
-            self._validate_run_config(fragment)
+        scale = _START_SCALE.get(values["problem.kind"])
+        self.x0 = None if scale is None else scale * np.random.default_rng(
+            [values["problem.seed"], 1]).standard_normal(d)
+        rule = RULES.get(values["opt.rule"])
+        consts = (self._constants()
+                  if rule and set(self.algorithms) - {"sgd"} else None)
+        self.runs = {alg: self._describe(alg, rule, consts)
+                     for alg in self.algorithms}
 
     def __getitem__(self, key):
         return self.values[key]
 
-    def _validate_run_config(self, fragment):
-        """The RunConfig of every variance-reduced cell must be valid."""
-        try:
-            run_config(self.values, self.problem, 0, fragment).validate()
-        except ValueError as exc:
-            raise ConfigError(f"invalid opt.*/run.* values: {exc}") from exc
-
     def _validate(self):
-        """Checks that RunConfig.validate cannot make."""
+        """Checks that no run description makes."""
         v = self.values
         if v["opt.rule"] != "none" and v["opt.epsilon"] is None:
             raise ConfigError("opt.epsilon is required when opt.rule is set")
@@ -187,41 +206,71 @@ class ExperimentSpec:
         if v["run.jobs"] < 1:
             raise ConfigError("run.jobs must be positive")
 
-    def _resolve_rule(self):
-        """Per-algorithm (B, m, eta, T) fragments from the chosen rule."""
-        v = self.values
-        frags = {}
-        if v["opt.rule"] == "none":
-            return frags
-        probes = [np.zeros(self.problem.d)]
+    def _constants(self):
+        """The problem's constants for the rule, probed first at x0, where
+        delta_f is measured."""
+        probes = [np.zeros(self.problem.d) if self.x0 is None else self.x0]
         ref = self.problem.reference_minimum()
         if ref is not None:
             x_star, _ = ref
             probes.append(x_star)
             probes.append(x_star + 2.0 * (probes[0] - x_star))
-        consts = estimate_constants(self.problem, probes, ref)
-        calc = (worst_case_hyperparams if v["opt.rule"] == "worst-case"
-                else data_adaptive_hyperparams)
-        for alg in self.algorithms:
+        return estimate_constants(self.problem, probes, ref)
+
+    def _describe(self, alg: str, rule, consts):
+        """The validated run description of one algorithm."""
+        v, problem = self.values, self.problem
+        try:
             if alg == "sgd":
-                continue  # the rules parameterize the variance-reduced runs only
+                steps = v["opt.steps"]
+                args = dict(
+                    eta=v["opt.eta"], b=min(v["opt.b"], problem.n),
+                    steps=v["opt.m"] * v["opt.T"] if steps is None else steps,
+                    problem=problem, x0=self.x0, eta_decay=v["opt.eta_decay"],
+                    record_grad_norm=v["run.record_grad_norm"],
+                    target_grad_norm=v["run.target_grad_norm"])
+                validate_sgd_args(**args)
+                return args
             k1, k2 = ((v["opt.k1"], v["opt.k2"]) if alg == "sparse-spiderboost"
-                      else (0, self.problem.d))
-            inp = HyperparamInputs(epsilon=v["opt.epsilon"], constants=consts,
-                                   b=v["opt.b"], k1=k1, k2=k2,
-                                   d=self.problem.d, n=self.problem.n)
-            frags[alg] = calc(inp)
-        return frags
+                      else (0, problem.d))
+            theory = v["run.mode"] == "theory"
+            cfg = RunConfig(
+                problem=problem, eta=v["opt.eta"], m=v["opt.m"], T=v["opt.T"],
+                B=v["opt.B"], b=v["opt.b"], alpha=v["opt.alpha"], k1=k1, k2=k2,
+                inner_mode="geometric" if theory else "fixed",
+                output_mode="uniform" if theory else "last",
+                x0=self.x0, eta_end=v["opt.eta_end"],
+                record_grad_norm=v["run.record_grad_norm"],
+                target_grad_norm=v["run.target_grad_norm"])
+            if rule:  # the rules parameterize the variance-reduced runs only
+                cfg = apply_hyperparams(cfg, rule(HyperparamInputs(
+                    epsilon=v["opt.epsilon"], constants=consts, b=v["opt.b"],
+                    k1=k1, k2=k2, d=problem.d, n=problem.n)))
+            cfg.validate()
+            return cfg
+        except ValueError as exc:
+            raise ConfigError(f"invalid opt.*/run.* values: {exc}") from exc
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse and fully validate a key=value config; no partial results."""
+@contextlib.contextmanager
+def _bad_input():
+    """Re-raise a ValueError or OSError that bad input caused as ConfigError."""
     try:
-        return ExperimentSpec(_read_values(text))
+        yield
+    except ConfigError:
+        raise
     except (ValueError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
+
+
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
+    """Parse and fully validate a key=value config, its values replaced by
+    `overrides` (parsed values, checked like config lines); no partial
+    results.  Bad input of any kind raises ConfigError."""
+    with _bad_input():
+        values = _read_values(text)
+        values.update(overrides or {})
+        return ExperimentSpec(values)
 
 
 def _read_values(text: str) -> dict:
@@ -334,18 +383,30 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def render_run_csv(record, timing: bool) -> str:
-    """Per-run CSV with the config echoed as '#' header comments."""
+# The settings a CSV echoes, per kind of run description.
+_ECHO_KEYS = {RunConfig: ("B", "T", "alpha", "b", "eta", "eta_end",
+                          "inner_mode", "k1", "k2", "m", "output_mode"),
+              dict: ("b", "eta", "eta_decay", "steps")}
+
+
+def render_run_csv(run, record, timing: bool) -> str:
+    """Per-run CSV of a cell of the run description `run`, with the
+    description's settings and the record's algorithm, seed, n and d as
+    '#' header comments."""
+    settings = run if isinstance(run, dict) else vars(run)
+    echo = {key: settings[key] for key in _ECHO_KEYS[type(run)]}
+    echo.update(algorithm=record.algorithm, seed=record.seed, n=record.n,
+                d=record.d)
     buf = io.StringIO()
-    for key in sorted(record.config_echo):
-        buf.write(f"# {key} = {record.config_echo[key]}\n")
+    for key in sorted(echo):
+        buf.write(f"# {key} = {echo[key]}\n")
     if record.aborted:
         buf.write(f"# aborted = {record.abort_reason}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in record.rows:
         writer.writerow([
-            row.j, row.n_inner, _fmt(row.queries_over_n), _fmt(row.loss),
+            row.j, row.n_inner, _fmt(row.units / record.n), _fmt(row.loss),
             _fmt(row.grad_norm), _fmt(row.entropy),
             _fmt(row.wall_ms) if timing else "",
         ])
@@ -419,60 +480,26 @@ def build_aggregate(run_paths, bins: int) -> str:
     return buf.getvalue()
 
 
-def run_config(values: dict, problem, seed: int,
-               fragment: dict | None) -> RunConfig:
-    """The RunConfig of one variance-reduced cell, with a rule's (B, m, eta, T)
-    fragment spliced in when given.  It carries opt.k1/opt.k2, which the
-    dense baseline ignores."""
-    v = values
-    theory = v["run.mode"] == "theory"
-    cfg = RunConfig(
-        problem=problem, eta=v["opt.eta"], m=v["opt.m"], T=v["opt.T"],
-        B=v["opt.B"], b=v["opt.b"], alpha=v["opt.alpha"],
-        k1=v["opt.k1"], k2=v["opt.k2"],
-        inner_mode="geometric" if theory else "fixed",
-        output_mode="uniform" if theory else "last",
-        seed=seed, eta_end=v["opt.eta_end"],
-        record_grad_norm=v["run.record_grad_norm"],
-        target_grad_norm=v["run.target_grad_norm"])
-    return apply_hyperparams(cfg, fragment) if fragment else cfg
-
-
-def _sgd_args(values: dict, problem) -> dict:
-    """run_sgd's arguments for the experiment's SGD cells, except the seed
-    and the recording flag."""
-    v = values
-    steps = v["opt.steps"] if v["opt.steps"] is not None else v["opt.m"] * v["opt.T"]
-    return dict(eta=v["opt.eta"], b=min(v["opt.b"], problem.n), steps=steps,
-                problem=problem, eta_decay=v["opt.eta_decay"],
-                target_grad_norm=v["run.target_grad_norm"])
-
-
-def _execute_run(problem, v: dict, fragment: dict | None, algorithm: str,
-                 seed: int):
-    """Run one (algorithm, seed) cell on the experiment's problem."""
+def _execute_run(run, algorithm: str, seed: int):
+    """Run one (algorithm, seed) cell from the algorithm's run description."""
     if algorithm == "sgd":
-        _, record = run_sgd(seed=seed, record_grad_norm=v["run.record_grad_norm"],
-                            **_sgd_args(v, problem))
-        return record
+        return run_sgd(seed=seed, **run)[1]
     runner = (run_sparse_spiderboost if algorithm == "sparse-spiderboost"
               else run_spiderboost_dense)
-    _, record = runner(run_config(v, problem, seed, fragment))
-    return record
+    return runner(replace(run, seed=seed))[1]
 
 
-# The experiment's problem in a pool worker process, set once by _init_worker.
-_worker_problem = None
+# The experiment's run descriptions in a pool worker, set by _init_worker.
+_worker_runs = None
 
 
-def _init_worker(problem) -> None:
-    global _worker_problem
-    _worker_problem = problem
+def _init_worker(runs: dict) -> None:
+    global _worker_runs
+    _worker_runs = runs
 
 
-def _execute_worker_run(v: dict, fragment: dict | None, algorithm: str,
-                        seed: int):
-    return _execute_run(_worker_problem, v, fragment, algorithm, seed)
+def _execute_worker_run(algorithm: str, seed: int):
+    return _execute_run(_worker_runs[algorithm], algorithm, seed)
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
@@ -486,18 +513,14 @@ def run_experiment(spec: ExperimentSpec) -> int:
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs, initializer=_init_worker,
-                initargs=(spec.problem,)) as pool:
-            futures = {
-                pool.submit(_execute_worker_run, spec.values,
-                            spec.fragments.get(alg), alg, seed): (alg, seed)
-                for alg, seed in cells}
+                initargs=(spec.runs,)) as pool:
+            futures = {pool.submit(_execute_worker_run, alg, seed): (alg, seed)
+                       for alg, seed in cells}
             for fut in concurrent.futures.as_completed(futures):
                 records[futures[fut]] = fut.result()
     else:
         for alg, seed in cells:
-            records[(alg, seed)] = _execute_run(spec.problem, spec.values,
-                                                spec.fragments.get(alg),
-                                                alg, seed)
+            records[(alg, seed)] = _execute_run(spec.runs[alg], alg, seed)
 
     timing = spec["run.timing"]
     paths = []
@@ -505,7 +528,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     for alg, seed in cells:  # deterministic write order
         record = records[(alg, seed)]
         path = os.path.join(out_dir, f"{alg}_seed{seed}.csv")
-        _atomic_write(path, render_run_csv(record, timing))
+        _atomic_write(path, render_run_csv(spec.runs[alg], record, timing))
         paths.append(path)
         log.info("wrote %s (%d rows%s)", path, len(record.rows),
                  ", ABORTED" if record.aborted else "")
@@ -559,8 +582,11 @@ run.seeds = 1,2,3
 run.target_grad_norm = 0.05
 run.out = runs-sparse-vs-dense
 """,
-    # Both variants drive the logistic loss down; with k1+k2 = 10% of d the
-    # sparse one spends ~40% of the dense query budget per inner step.
+    # With k1+k2 = 10% of d the sparse variant spends 10% of the dense
+    # query units per inner step and, with the dense snapshot, 28% per
+    # outer loop (queries_over_n 0.28 against 1.0 after loop 1).  Its loss
+    # first rises, to 7.5 after loop 1 on seed 1, then falls to 0.33-0.36
+    # after loop 30; the dense one ends at 0.19.
     "logistic-desk": """
 problem.kind = logistic-blobs
 problem.n = 2000
@@ -578,8 +604,9 @@ opt.T = 30
 run.seeds = 1,2,3
 run.out = runs-logistic
 """,
-    # Small net on class blobs; entropy of the memory vector drops as
-    # training concentrates gradient mass.
+    # Small net on class blobs.  Both variants end near loss 0.24; the
+    # entropy of the sparse run's memory vector rises, from 6.5 to 7.4 bits
+    # on seed 1.
     "mlp-blobs": """
 problem.kind = mlp-blobs
 problem.n = 400
@@ -598,7 +625,7 @@ run.seeds = 1,2
 run.out = runs-mlp
 """,
     # Squared-loss factorization with the linear inner-loop learning-rate
-    # interpolation.
+    # interpolation; both variants end near loss 0.054.
     "matrix-factorization": """
 problem.kind = low-rank-ratings
 problem.rows = 40
@@ -633,11 +660,10 @@ def _setup_logging():
 
 
 def _cmd_gen(args) -> int:
-    params = {"n": args.n, "d": args.d, "s_active": args.s_active,
-              "tau": args.tau, "signal": args.signal, "noise": args.noise,
-              "separation": args.separation, "rows": args.rows,
-              "cols": args.cols, "rank": args.rank, "density": args.density}
-    generate_dataset(args.kind, params, args.seed, args.out)
+    params = {key: getattr(args, key) for key in _GEN_KEYS}
+    seed = params.pop("seed")
+    with _bad_input():
+        generate_dataset(args.kind, params, seed, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -645,25 +671,17 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     if args.preset:
         if args.preset not in PRESETS:
-            print(f"unknown preset {args.preset!r}; available: "
-                  f"{', '.join(sorted(PRESETS))}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown preset {args.preset!r}; available: "
+                              f"{', '.join(sorted(PRESETS))}")
         text = PRESETS[args.preset]
     elif args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with _bad_input(), open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
-        print("run needs --config PATH or --preset NAME", file=sys.stderr)
-        return 2
+        raise ConfigError("run needs --config PATH or --preset NAME")
     flags = {"run.seeds": None if args.seed is None else [args.seed],
              "run.out": args.out, "run.jobs": args.jobs, "run.mode": args.mode}
-    try:  # the flags are validated like config lines
-        values = _read_values(text)
-        values.update((k, v) for k, v in flags.items() if v is not None)
-        spec = ExperimentSpec(values)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    spec = parse_config(text, {k: v for k, v in flags.items() if v is not None})
     return run_experiment(spec)
 
 
@@ -685,12 +703,8 @@ def _cmd_hyper(args) -> int:
                               f_star_exact=False)
     inp = HyperparamInputs(epsilon=args.epsilon, constants=consts, b=args.b,
                            k1=args.k1, k2=args.k2, d=args.d, n=args.n)
-    rules = (["worst-case", "data-adaptive"] if args.rule == "both"
-             else [args.rule])
-    for rule in rules:
-        calc = (worst_case_hyperparams if rule == "worst-case"
-                else data_adaptive_hyperparams)
-        frag = calc(inp)
+    for rule in RULES if args.rule == "both" else [args.rule]:
+        frag = RULES[rule](inp)
         print(f"{rule}: B={frag['B']} m={frag['m']} eta={frag['eta']:.6g} "
               f"T={frag['T']}")
     return 0
@@ -705,18 +719,10 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("gen", help="write a synthetic dataset")
     p_gen.add_argument("--kind", required=True, choices=GEN_KINDS)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--n", type=int, default=200)
-    p_gen.add_argument("--d", type=int, default=20)
-    p_gen.add_argument("--s-active", dest="s_active", type=int, default=5)
-    p_gen.add_argument("--tau", type=float, default=0.1)
-    p_gen.add_argument("--signal", type=float, default=1.0)
-    p_gen.add_argument("--noise", type=float, default=0.05)
-    p_gen.add_argument("--separation", type=float, default=2.0)
-    p_gen.add_argument("--rows", type=int, default=30)
-    p_gen.add_argument("--cols", type=int, default=20)
-    p_gen.add_argument("--rank", type=int, default=2)
-    p_gen.add_argument("--density", type=float, default=0.3)
+    for key in _GEN_KEYS:
+        parse, default = _SCHEMA[f"problem.{key}"]
+        p_gen.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                           default=_GEN_DEFAULTS.get(key, default))
     p_gen.set_defaults(func=_cmd_gen)
 
     p_run = sub.add_parser("run", help="run an experiment")
@@ -734,7 +740,7 @@ def main(argv=None) -> int:
 
     p_hyper = sub.add_parser("hyper", help="print calculator output")
     p_hyper.add_argument("--rule", default="both",
-                         choices=("worst-case", "data-adaptive", "both"))
+                         choices=(*RULES, "both"))
     p_hyper.add_argument("--epsilon", type=float, required=True)
     p_hyper.add_argument("--L", type=float, required=True)
     p_hyper.add_argument("--sigma2", type=float, required=True)
@@ -747,7 +753,11 @@ def main(argv=None) -> int:
     p_hyper.set_defaults(func=_cmd_hyper)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

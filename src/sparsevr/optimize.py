@@ -160,7 +160,6 @@ class RunRow:
     loss: float
     grad_norm: float | None
     units: float
-    queries_over_n: float
     entropy: float | None   # of the memory; None where there is none
     wall_ms: float
     diag_ms: float   # part of wall_ms: loss, gradient norm, entropy, capture
@@ -182,20 +181,9 @@ class RunRecord:
     aborted: bool = False
     abort_reason: str = ""
     iterates: list | None = None
-    config_echo: dict = field(default_factory=dict)
 
     def inner_lengths(self):
         return [row.n_inner for row in self.rows]
-
-
-def _config_echo(cfg: RunConfig, algorithm: str) -> dict:
-    return {
-        "algorithm": algorithm, "eta": cfg.eta, "m": cfg.m, "T": cfg.T,
-        "B": cfg.B, "b": cfg.b, "alpha": cfg.alpha, "k1": cfg.k1,
-        "k2": cfg.k2, "inner_mode": cfg.inner_mode,
-        "output_mode": cfg.output_mode, "seed": cfg.seed,
-        "eta_end": cfg.eta_end, "n": cfg.problem.n, "d": cfg.problem.d,
-    }
 
 
 def _inner_eta(cfg: RunConfig, t: int) -> float:
@@ -347,8 +335,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     capture_rng = RngStream(cfg.seed, STREAM_CAPTURE)
 
     x, loss_ceiling = _start(prob, cfg.x0)
-    record = RunRecord(algorithm=algorithm, seed=cfg.seed, n=n, d=d,
-                       config_echo=_config_echo(cfg, algorithm))
+    record = RunRecord(algorithm=algorithm, seed=cfg.seed, n=n, d=d)
     record.iterates = [] if cfg.keep_iterates else None
     meter = record.meter
 
@@ -435,9 +422,8 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
             toc = time.perf_counter()
             record.rows.append(RunRow(
                 j=j, n_inner=n_j, loss=loss, grad_norm=grad_norm,
-                units=meter.units_float(),
-                queries_over_n=meter.units_float() / n,
-                entropy=ent, wall_ms=(toc - tic) * 1e3,
+                units=meter.units_float(), entropy=ent,
+                wall_ms=(toc - tic) * 1e3,
                 diag_ms=(toc - diag_tic) * 1e3, g=g_val, G=big_g_val, R=r_val))
             if record.iterates is not None:
                 record.iterates.append(x.copy())
@@ -478,15 +464,20 @@ def run_spiderboost_dense(cfg: RunConfig):
 
 
 def validate_sgd_args(eta: float, b: int, steps: int,
-                      problem: FiniteSumProblem, eta_decay: float | None = None,
+                      problem: FiniteSumProblem, x0: np.ndarray | None = None,
+                      eta_decay: float | None = None,
+                      record_grad_norm: bool = True,
                       target_grad_norm: float | None = None) -> None:
-    """Raise ValueError unless run_sgd accepts these arguments."""
+    """Raise ValueError unless run_sgd accepts these arguments, which are
+    its own but the seed and record_every."""
     if not eta > 0:
         raise ValueError("eta must be positive")
     if not 1 <= b <= problem.n:
         raise ValueError("need 1 <= b <= n")
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if x0 is not None:
+        as_vector(x0, problem.d)
     if eta_decay is not None and not eta_decay > 0:
         raise ValueError("eta_decay must be positive")
     _check_target(target_grad_norm)
@@ -502,14 +493,12 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
     `eta_decay`, when set, multiplies the learning rate by that factor once
     per epoch (ceil(n/b) steps).
     """
-    validate_sgd_args(eta, b, steps, problem, eta_decay, target_grad_norm)
+    validate_sgd_args(eta, b, steps, problem, x0, eta_decay, record_grad_norm,
+                      target_grad_norm)
     n, d = problem.n, problem.d
     batch_rng = RngStream(seed, STREAM_BATCH)
     x, loss_ceiling = _start(problem, x0)
-    record = RunRecord(algorithm="sgd", seed=seed, n=n, d=d,
-                       config_echo={"algorithm": "sgd", "eta": eta, "b": b,
-                                    "steps": steps, "seed": seed,
-                                    "eta_decay": eta_decay, "n": n, "d": d})
+    record = RunRecord(algorithm="sgd", seed=seed, n=n, d=d)
     meter = record.meter
     if record_every is None:
         record_every = max(1, steps // 100)
@@ -531,9 +520,8 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
                 toc = time.perf_counter()
                 record.rows.append(RunRow(
                     j=t, n_inner=1, loss=loss, grad_norm=grad_norm,
-                    units=meter.units_float(),
-                    queries_over_n=meter.units_float() / n,
-                    entropy=None, wall_ms=(toc - tic) * 1e3,
+                    units=meter.units_float(), entropy=None,
+                    wall_ms=(toc - tic) * 1e3,
                     diag_ms=(toc - diag_tic) * 1e3))
                 tic = time.perf_counter()
                 if (target_grad_norm is not None and grad_norm is not None

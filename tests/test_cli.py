@@ -1,13 +1,15 @@
 import ast
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sparsevr import checks
 from sparsevr.cli import (PRESETS, ConfigError, build_aggregate, build_problem,
-                          generate_dataset, main, parse_config, run_experiment)
-from sparsevr.optimize import run_sgd
+                          generate_dataset, main, parse_config, read_run_csv,
+                          run_experiment)
+from sparsevr.optimize import run_sgd, run_spiderboost_dense
 from sparsevr.problems import (LeastSquaresProblem, gen_low_rank_ratings,
                                load_labeled_dataset)
 
@@ -54,6 +56,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(MINIMAL + "opt.eta = 0.1\nopt.eta = 0.2\n")
 
+    def test_rejects_an_algorithm_listed_twice(self):
+        # one run description, and one CSV, per algorithm
+        with pytest.raises(ConfigError, match="listed twice"):
+            parse_config(MINIMAL + "opt.algorithm = sgd,spiderboost,sgd\n")
+
     def test_rejects_unknown_key_with_line_number(self):
         text = MINIMAL + "opt.learning_rate = 0.1\n"
         with pytest.raises(ConfigError, match="line 5.*opt.learning_rate"):
@@ -87,9 +94,12 @@ class TestParseConfig:
         spec = parse_config(MINIMAL + "opt.rule = worst-case\n"
                                       "opt.epsilon = 0.5\n"
                                       "opt.b = 10\n")
-        frag = spec.fragments["sparse-spiderboost"]
-        assert set(frag) == {"B", "m", "eta", "T"}
-        assert frag["B"] >= 10
+        cfg = spec.runs["sparse-spiderboost"]
+        ruleless = parse_config(MINIMAL + "opt.b = 10\n").runs[
+            "sparse-spiderboost"]
+        assert ((cfg.B, cfg.m, cfg.eta, cfg.T)
+                != (ruleless.B, ruleless.m, ruleless.eta, ruleless.T))
+        assert cfg.B >= 10
 
     def test_rule_solves_reference_once(self, monkeypatch):
         calls = []
@@ -104,7 +114,7 @@ class TestParseConfig:
                                       "opt.epsilon = 0.5\n"
                                       "opt.b = 10\n")
         assert len(calls) == 1
-        assert spec.fragments["sparse-spiderboost"]["B"] >= 10
+        assert spec.runs["sparse-spiderboost"].B >= 10
 
     def test_all_presets_parse(self):
         for name, text in PRESETS.items():
@@ -371,3 +381,69 @@ class TestMainEntrypoint:
         text = (out / "sparse-spiderboost_seed1.csv").read_text()
         assert "# inner_mode = geometric" in text
         assert "# output_mode = uniform" in text
+
+
+MLP_K2_1 = PRESETS["mlp-blobs"].replace("opt.k2 = 10", "opt.k2 = 1")
+
+
+class TestOnlyTheRunsThatHappenAreValidated:
+    """Each config was rejected when every run kind was validated, and
+    before a rule's (B, m, eta, T) replaced the config's."""
+
+    @pytest.mark.parametrize("text", [
+        # k1 and k2 belong to the sparse run alone; the dense one runs at
+        # k1=0, k2=d.
+        MLP_K2_1.replace("sparse-spiderboost,spiderboost", "sgd"),
+        MLP_K2_1.replace("sparse-spiderboost,spiderboost", "spiderboost"),
+        # opt.steps is read by SGD alone.
+        SMALL_RUN.replace("sparse-spiderboost,spiderboost",
+                          "sparse-spiderboost") + "opt.steps = 0\n",
+        # The rule's B is at least b.
+        MINIMAL + "opt.rule = worst-case\nopt.epsilon = 0.5\n"
+                  "opt.B = 5\nopt.b = 10\n",
+    ], ids=["sgd-only-k2", "dense-only-k2", "sparse-only-steps", "rule-B"])
+    def test_config_is_accepted_and_runs(self, tmp_path, text):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "aggregate.csv" in os.listdir(tmp_path / "out")
+
+
+class TestPresetsMove:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_run_ends_below_its_start(self, tmp_path, name):
+        spec = parse_config(PRESETS[name], {"run.out": str(tmp_path)})
+        assert run_experiment(spec) == 0
+        x0 = np.zeros(spec.problem.d) if spec.x0 is None else spec.x0
+        f0 = spec.problem.full_loss(x0)
+        paths = [tmp_path / f for f in os.listdir(tmp_path)
+                 if f != "aggregate.csv"]
+        assert len(paths) == len(spec.algorithms) * len(spec["run.seeds"])
+        for path in paths:
+            _, rows = read_run_csv(path)
+            assert rows[-1]["loss"] < f0, path.name
+
+    def test_dense_mlp_hidden_units_differ(self):
+        spec = parse_config(PRESETS["mlp-blobs"])
+        x, _ = run_spiderboost_dense(replace(spec.runs["spiderboost"], seed=1))
+        (w1, _), _ = spec.problem._unpack(x)
+        # one column per hidden unit; a row with no spread means the units
+        # receive that input alike
+        assert w1.shape[1] == 16
+        assert np.ptp(w1, axis=1).min() > 0
+
+
+class TestBadInputIsOneLine:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{tmp}/missing.txt", "--out", "{tmp}/out"],
+        ["gen", "--kind", "gaussian-ls", "--n", "0", "--out", "{tmp}/x.txt"],
+        ["gen", "--kind", "gaussian-ls", "--out", "{tmp}/nodir/x.txt"],
+    ], ids=["missing-config", "gen-n-0", "gen-missing-dir"])
+    def test_exit_2_and_no_output(self, tmp_path, capsys, argv):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
