@@ -495,6 +495,8 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
     """
     validate_sgd_args(eta, b, steps, problem, x0, eta_decay, record_grad_norm,
                       target_grad_norm)
+    if record_every is not None and not record_every >= 1:
+        raise ValueError("record_every must be at least 1")
     n, d = problem.n, problem.d
     batch_rng = RngStream(seed, STREAM_BATCH)
     x, loss_ceiling = _start(problem, x0)

@@ -805,6 +805,22 @@ class TestSgd:
         with pytest.raises(ValueError):
             run_sgd(**{**kw, **bad})
 
+    @pytest.mark.parametrize("record_every", [0, -2])
+    def test_rejects_record_every_below_one_before_the_first_step(
+            self, record_every):
+        prob = quadratic_problem()
+        calls, real = [], prob.grad_batch
+
+        def grad_batch(idx, x):
+            calls.append(idx)
+            return real(idx, x)
+
+        prob.grad_batch = grad_batch
+        with pytest.raises(ValueError, match="record_every"):
+            run_sgd(eta=0.3, b=2, steps=4, problem=prob, seed=0,
+                    record_every=record_every)
+        assert calls == []
+
 
 class TestDivergenceGuard:
     def test_huge_step_aborts_with_reason(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import fd_grad, long_gradient_descent
 
+from sparsevr import problems
 from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
                                MatrixFactorizationProblem, MLPProblem,
                                estimate_constants, gen_class_blobs,
@@ -401,6 +402,121 @@ class TestFusedOracle:
             loss, grad = problem.loss_grad_batch(idx, x)
             assert loss == problem.loss_batch(idx, x)
             assert np.array_equal(grad, problem.grad_batch(idx, x))
+
+
+class TestLeastSquaresTiles:
+    """A least-squares gradient pass goes over its rows in tiles.  With
+    TILE_FLOATS cut to a few rows, every selection below spans several
+    tiles; at four-row tiles the selections of 37 and 29 rows end in a lone
+    row that joins the tile before it.  The products are small enough for
+    the BLAS to run them on one thread."""
+
+    N, D, RIDGE = 37, 7, 0.05
+
+    @classmethod
+    def problem(cls):
+        a, b, _ = gen_gaussian_ls(cls.N, cls.D, seed=60)
+        return LeastSquaresProblem(a, b, ridge=cls.RIDGE)
+
+    def selections(self, rng):
+        return [slice(None), slice(2, None, 3),
+                np.sort(rng.choice(self.N, size=23, replace=False)),
+                rng.integers(0, self.N, size=29),   # unsorted, with repeats
+                list(range(0, self.N, 2))]
+
+    def untiled(self, p, idx, x):
+        """The residuals, loss and gradient of one product over the rows."""
+        sub = p.A[idx]
+        r = sub @ x - p.b[idx]
+        loss = 0.5 * float(r @ r) / len(r) + 0.5 * self.RIDGE * float(x @ x)
+        return r, loss, sub.T @ r / len(r) + self.RIDGE * x
+
+    @pytest.mark.parametrize("rows", [1, 4, 10])
+    def test_residuals_and_loss_are_the_untiled_bits(self, monkeypatch, rows):
+        monkeypatch.setattr(problems, "TILE_FLOATS", rows * self.D)
+        p, rng = self.problem(), np.random.default_rng(61)
+        for _ in range(10):
+            x = rng.standard_normal(self.D)
+            for idx in self.selections(rng):
+                r, loss, grad = self.untiled(p, idx, x)
+                assert p._state(idx, x, True)[2].tobytes() == r.tobytes()
+                fused_loss, fused_grad = p.loss_grad_batch(idx, x)
+                assert fused_loss == loss == p.loss_batch(idx, x)
+                err = np.max(np.abs(fused_grad - grad))
+                assert err <= 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("rows", [1, 4, 10])
+    def test_every_gradient_oracle_reads_one_sum(self, monkeypatch, rows):
+        monkeypatch.setattr(problems, "TILE_FLOATS", rows * self.D)
+        p, rng = self.problem(), np.random.default_rng(62)
+        summed_in_tiles = False
+        for _ in range(10):
+            x = rng.standard_normal(self.D)
+            assert (p.full_grad(x).tobytes()
+                    == p.grad_batch(np.arange(self.N), x).tobytes())
+            for idx in self.selections(rng):
+                dense = p.grad_batch(idx, x)
+                assert p.loss_grad_batch(idx, x)[1].tobytes() == dense.tobytes()
+                coords = rng.permutation(self.D)[:int(rng.integers(1, self.D + 1))]
+                assert (p.grad_batch_restricted(idx, x, coords).tobytes()
+                        == dense[coords].tobytes())
+                summed_in_tiles |= not np.array_equal(dense,
+                                                      self.untiled(p, idx, x)[2])
+        # the sums really were taken tile by tile: some differ in low bits
+        assert summed_in_tiles
+
+    def test_one_tile_is_the_one_product(self, monkeypatch):
+        monkeypatch.setattr(problems, "TILE_FLOATS", 8 * self.D)
+        p, rng = self.problem(), np.random.default_rng(63)
+        for size in (1, 2, 5, 8, 9):   # 9 rows: 8 plus a lone last row
+            x = rng.standard_normal(self.D)
+            idx = rng.choice(self.N, size=size, replace=False)
+            _, loss, grad = self.untiled(p, idx, x)
+            assert p.loss_grad_batch(idx, x)[0] == loss
+            assert p.grad_batch(idx, x).tobytes() == grad.tobytes()
+            coords = rng.permutation(self.D)[:3]
+            assert (p.grad_batch_restricted(idx, x, coords).tobytes()
+                    == grad[coords].tobytes())
+
+    def test_an_inner_batch_of_the_benchmark_shape_is_one_tile(self):
+        # 100 rows at d = 1,000, as in the ls-target workload's inner steps
+        a, b, _ = gen_planted_ls(120, 1000, s_active=10, seed=64, tau=0.005)
+        p = LeastSquaresProblem(a, b)
+        rng = np.random.default_rng(65)
+        x, idx = rng.standard_normal(1000), rng.choice(120, size=100, replace=False)
+        sub = a[idx]
+        want = sub.T @ (sub @ x - b[idx]) / 100 + 0.0 * x
+        assert p.grad_batch(idx, x).tobytes() == want.tobytes()
+
+    def test_each_oracle_asks_for_the_pass_it_reads(self, monkeypatch):
+        monkeypatch.setattr(problems, "TILE_FLOATS", 4 * self.D)
+        p, rng = self.problem(), np.random.default_rng(66)
+        x, idx = rng.standard_normal(self.D), np.arange(0, self.N, 3)
+        flags, states, real = [], [], p._pass
+
+        def spy(sel, at, grad):
+            flags.append(grad)
+            states.append(real(sel, at, grad))
+            return states[-1]
+
+        monkeypatch.setattr(p, "_pass", spy)
+        p.loss_batch(idx, x)
+        p.full_loss(x)
+        p.component_loss(3, x)
+        p.grad_components(idx, x)
+        assert flags == [False] * 4
+        # a loss-only pass keeps the rows its per-component sweep reads and
+        # no gradient sum
+        assert all(s[1] is not None and s[3] is None for s in states)
+        flags.clear()
+        states.clear()
+        p.grad_batch(idx, x)
+        p.grad_batch_restricted(idx, x, np.arange(3))
+        p.loss_grad_batch(idx, x)
+        p.full_grad(x)
+        assert flags == [True] * 4
+        # a gradient pass keeps the sum and no copy of the rows
+        assert all(s[1] is None and s[3].shape == (self.D,) for s in states)
 
 
 class TestRejectsNonFiniteData:
