@@ -3,9 +3,8 @@
 Each problem implements four private hooks over a selection `idx` of its
 components (an index array or a slice):
 
-- `_pass(idx, x, grad)`: the one forward pass (the residual, the margins,
-  the network's forward pass, or the factor-row gather), returned as a
-  state; `grad` says whether `_grad` will read it;
+- `_pass(idx, x)`: the one forward pass (the residual, the margins, the
+  network's forward pass, or the factor-row gather), returned as a state;
 - `_loss(state)`: the mean loss;
 - `_grad(state, coords)`: the mean gradient at `coords`, an index array or
   `slice(None)` for all d, in the order of `coords`;
@@ -18,16 +17,16 @@ the restricted one at full support, bit for bit; the fused oracle runs
 both readers on one pass.  The full-data oracles select with a slice, so
 they read the rows in place.
 
-Only least squares reads the flag.  A pass that `_grad` will read goes over
-the rows in tiles of at most TILE_FLOATS values: it writes each tile's
-residuals and adds the tile's share of A^T r to the d-length gradient sum
-while the tile is still in cache, so each row of A comes from memory once,
-and an index-array selection is gathered one tile at a time.  A loss-only
-pass (and a per-component sweep) forms A[idx] @ x in one product.  The
-tiles are cut so that, on a one-thread BLAS, the residuals and so the
-losses do not depend on the tiling.  A gradient summed over several tiles
-differs in its last bits from one product over all the rows, but every
-gradient oracle reads the same sum.
+The least-squares pass goes over the rows in tiles of at most TILE_FLOATS
+values: it writes each tile's residuals and adds the tile's share of
+A^T r to the d-length gradient sum while the tile is still in cache, so
+each row of A comes from memory once, and an index-array selection is
+gathered one tile at a time.  Every oracle runs that one pass, so the
+loss and the gradient of `loss_grad_batch` are those of `loss_batch` and
+`grad_batch` at any BLAS thread count.  The tiles are cut so that, on a
+one-thread BLAS, the residuals and so the losses are those of one product
+A[idx] @ x.  A gradient summed over several tiles differs in its last bits
+from one product over all the rows.
 
 Each `_grad` gathers `coords` from a d-length gradient or gradient sum
 (least squares and the network scale only the gathered entries), so a
@@ -54,7 +53,7 @@ from .vecops import as_vector
 # values, 32 MiB.
 CHUNK_FLOATS = 2 ** 22
 
-# Floats per row tile of a least-squares gradient pass: 2**17 float64
+# Floats per row tile of a least-squares pass: 2**17 float64
 # values, 1 MiB (128 rows at d = 1,000), so a tile read for its residuals
 # is still in L2 when the gradient sum reads it again.
 TILE_FLOATS = 2 ** 17
@@ -91,20 +90,17 @@ def _require_finite(*arrays) -> None:
 
 class FiniteSumProblem(abc.ABC):
     """Oracle interface.  Subclasses implement the four hooks of the module
-    docstring; every public oracle is composed from them here.  The
-    gradient oracles (`grad_batch`, `grad_batch_restricted` and
-    `loss_grad_batch`) ask `_pass` for a pass that `_grad` reads; the loss
-    oracles and `grad_components` ask for one that it does not."""
+    docstring; every public oracle is composed from them here, each from
+    one `_pass` over its selection."""
 
     n: int
     d: int
 
     @abc.abstractmethod
-    def _pass(self, idx, x: np.ndarray, grad: bool):
-        """The forward pass over the components in idx at a checked x.
-        `grad` is True when `_grad` will read the state; a problem may then
-        fuse part of the gradient into the pass (least squares sums it tile
-        by tile) and, when False, leave it out."""
+    def _pass(self, idx, x: np.ndarray):
+        """The forward pass over the components in idx at a checked x.  A
+        problem may fuse part of the gradient into it (least squares sums
+        A^T r tile by tile), so that `_grad` only gathers and scales."""
 
     @abc.abstractmethod
     def _loss(self, state) -> float:
@@ -118,32 +114,32 @@ class FiniteSumProblem(abc.ABC):
     def _components(self, state) -> np.ndarray:
         """Per-component gradients of a pass, one row per component."""
 
-    def _state(self, idx, x, grad: bool):
+    def _state(self, idx, x):
         """The pass over idx at x, after the one check of x."""
-        return self._pass(idx, as_vector(x, self.d), grad)
+        return self._pass(idx, as_vector(x, self.d))
 
     def loss_batch(self, idx, x: np.ndarray) -> float:
         """Average loss over the components in idx."""
-        return self._loss(self._state(idx, x, False))
+        return self._loss(self._state(idx, x))
 
     def grad_batch(self, idx, x: np.ndarray) -> np.ndarray:
         """Average gradient over the components in idx."""
-        return self._grad(self._state(idx, x, True), slice(None))
+        return self._grad(self._state(idx, x), slice(None))
 
     def grad_batch_restricted(self, idx, x: np.ndarray,
                               coords: np.ndarray) -> np.ndarray:
         """Batch gradient entries at `coords`, in the order of `coords`;
         grad_batch(idx, x)[coords] bit for bit."""
-        return self._grad(self._state(idx, x, True), coords)
+        return self._grad(self._state(idx, x), coords)
 
     def loss_grad_batch(self, idx, x: np.ndarray) -> tuple[float, np.ndarray]:
         """(loss_batch(idx, x), grad_batch(idx, x)) from one pass, bit for bit."""
-        state = self._state(idx, x, True)
+        state = self._state(idx, x)
         return self._loss(state), self._grad(state, slice(None))
 
     def grad_components(self, idx, x: np.ndarray) -> np.ndarray:
         """len(idx) x d matrix whose rows are the per-component gradients."""
-        return self._components(self._state(idx, x, False))
+        return self._components(self._state(idx, x))
 
     def component_loss(self, i: int, x: np.ndarray) -> float:
         """Loss of component i at x."""
@@ -185,24 +181,19 @@ class LeastSquaresProblem(FiniteSumProblem):
         self.A, self.b, self.ridge = A, b, float(ridge)
         self.n, self.d = A.shape
 
-    def _pass(self, idx, x, grad):
-        """(x, rows, residuals A[idx] @ x - b[idx], gradient sum).
+    def _pass(self, idx, x):
+        """(x, idx, residuals A[idx] @ x - b[idx], gradient sum A[idx].T @ r).
 
-        A loss-only pass keeps the rows A[idx] and no sum.  A gradient pass
-        keeps the sum A[idx].T @ r instead of the rows: it goes over them
-        in tiles (views of a slice, gathered pieces of an index array),
-        writes each tile's residuals and adds its A_c.T @ r_c while the
-        tile is still in cache.  A tile holds at most TILE_FLOATS values,
-        or four rows when fewer would fit; its rows are a multiple of four,
-        and a lone last row joins the tile before it.  OpenBLAS's gemv
-        takes rows four at a time and numpy hands a one-row product to
-        dot, so on a one-thread BLAS every residual has the bits of the one
-        product A[idx] @ x.  A selection that fits in one tile is that
-        product, and its sum is A[idx].T @ r."""
+        The pass goes over the rows in tiles (views of a slice, gathered
+        pieces of an index array), writes each tile's residuals and adds its
+        A_c.T @ r_c while the tile is still in cache.  A tile holds at most
+        TILE_FLOATS values, or four rows when fewer would fit; its rows are
+        a multiple of four, and a lone last row joins the tile before it.
+        OpenBLAS's gemv takes rows four at a time and numpy hands a one-row
+        product to dot, so on a one-thread BLAS every residual has the bits
+        of the one product A[idx] @ x.  A selection that fits in one tile is
+        that product, and its sum is A[idx].T @ r."""
         b = self.b[idx]
-        if not grad:
-            sub = self.A[idx]
-            return x, sub, sub @ x - b, None
         rows = self.A[idx] if isinstance(idx, slice) else None
         step = max(4, TILE_FLOATS // self.d // 4 * 4)
         m = len(b)
@@ -219,7 +210,7 @@ class LeastSquaresProblem(FiniteSumProblem):
             else:
                 np.matmul(tile.T, r_c, out=g)
             lo = hi
-        return x, None, r, g
+        return x, idx, r, g
 
     def _loss(self, state):
         x, _, r, _ = state
@@ -232,8 +223,8 @@ class LeastSquaresProblem(FiniteSumProblem):
         return g[coords] / len(r) + self.ridge * x[coords]
 
     def _components(self, state):
-        x, sub, r, _ = state
-        return sub * r[:, None] + self.ridge * x[None, :]
+        x, idx, r, _ = state
+        return self.A[idx] * r[:, None] + self.ridge * x[None, :]
 
     def smoothness_hint(self):
         return float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
@@ -267,7 +258,7 @@ class LogisticProblem(FiniteSumProblem):
         self.A, self.y, self.ridge = A, y, float(ridge)
         self.n, self.d = A.shape
 
-    def _pass(self, idx, x, grad):
+    def _pass(self, idx, x):
         """x, the rows and labels in idx and their margins y_i a_i.x."""
         sub, y = self.A[idx], self.y[idx]
         return x, sub, y, y * (sub @ x)
@@ -371,7 +362,7 @@ class MLPProblem(FiniteSumProblem):
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
-    def _pass(self, idx, x, grad):
+    def _pass(self, idx, x):
         """(labels, params, activations, log-probabilities) of the samples
         in idx: the one forward pass that the loss and the backprop read."""
         params = self._unpack(x)
@@ -471,7 +462,7 @@ class MatrixFactorizationProblem(FiniteSumProblem):
         qc = self.n_rows * r + v[:, None] * r + np.arange(r)[None, :]
         return pc, qc
 
-    def _pass(self, idx, x, grad):
+    def _pass(self, idx, x):
         """Rows u, columns v, factor rows P_u, Q_v and residuals
         P_u.Q_v - R_uv of the components in idx."""
         p, q = self._factors(x)

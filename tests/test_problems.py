@@ -439,7 +439,7 @@ class TestLeastSquaresTiles:
             x = rng.standard_normal(self.D)
             for idx in self.selections(rng):
                 r, loss, grad = self.untiled(p, idx, x)
-                assert p._state(idx, x, True)[2].tobytes() == r.tobytes()
+                assert p._state(idx, x)[2].tobytes() == r.tobytes()
                 fused_loss, fused_grad = p.loss_grad_batch(idx, x)
                 assert fused_loss == loss == p.loss_batch(idx, x)
                 err = np.max(np.abs(fused_grad - grad))
@@ -488,35 +488,30 @@ class TestLeastSquaresTiles:
         want = sub.T @ (sub @ x - b[idx]) / 100 + 0.0 * x
         assert p.grad_batch(idx, x).tobytes() == want.tobytes()
 
-    def test_each_oracle_asks_for_the_pass_it_reads(self, monkeypatch):
+    def test_loss_oracles_agree_above_the_blas_threading_threshold(self):
+        # At the default TILE_FLOATS and 1,099 x 1,000, a pass spans nine
+        # tiles and each tile's products are large enough for a threaded
+        # BLAS to split; the loss-only and the fused oracle run the same
+        # products, so they agree at any thread count.
+        a, b, _ = gen_gaussian_ls(1099, 1000, seed=67)
+        p = LeastSquaresProblem(a, b, ridge=self.RIDGE)
+        rng = np.random.default_rng(68)
+        for _ in range(3):
+            x = rng.standard_normal(1000)
+            for idx in (slice(None), rng.integers(0, 1099, size=1000)):
+                loss, grad = p.loss_grad_batch(idx, x)
+                assert loss == p.loss_batch(idx, x)
+                assert grad.tobytes() == p.grad_batch(idx, x).tobytes()
+            assert p.loss_grad_batch(slice(None), x)[0] == p.full_loss(x)
+
+    def test_components_read_the_tiled_residuals(self, monkeypatch):
         monkeypatch.setattr(problems, "TILE_FLOATS", 4 * self.D)
         p, rng = self.problem(), np.random.default_rng(66)
-        x, idx = rng.standard_normal(self.D), np.arange(0, self.N, 3)
-        flags, states, real = [], [], p._pass
-
-        def spy(sel, at, grad):
-            flags.append(grad)
-            states.append(real(sel, at, grad))
-            return states[-1]
-
-        monkeypatch.setattr(p, "_pass", spy)
-        p.loss_batch(idx, x)
-        p.full_loss(x)
-        p.component_loss(3, x)
-        p.grad_components(idx, x)
-        assert flags == [False] * 4
-        # a loss-only pass keeps the rows its per-component sweep reads and
-        # no gradient sum
-        assert all(s[1] is not None and s[3] is None for s in states)
-        flags.clear()
-        states.clear()
-        p.grad_batch(idx, x)
-        p.grad_batch_restricted(idx, x, np.arange(3))
-        p.loss_grad_batch(idx, x)
-        p.full_grad(x)
-        assert flags == [True] * 4
-        # a gradient pass keeps the sum and no copy of the rows
-        assert all(s[1] is None and s[3].shape == (self.D,) for s in states)
+        x = rng.standard_normal(self.D)
+        for idx in self.selections(rng):
+            r = self.untiled(p, idx, x)[0]
+            want = p.A[idx] * r[:, None] + self.RIDGE * x[None, :]
+            assert p.grad_components(idx, x).tobytes() == want.tobytes()
 
 
 class TestRejectsNonFiniteData:
