@@ -405,7 +405,7 @@ class TestFusedOracle:
 
 
 class TestLeastSquaresTiles:
-    """A least-squares gradient pass goes over its rows in tiles.  With
+    """Every least-squares pass goes over its rows in tiles.  With
     TILE_FLOATS cut to a few rows, every selection below spans several
     tiles; at four-row tiles the selections of 37 and 29 rows end in a lone
     row that joins the tile before it.  The products are small enough for
