@@ -41,16 +41,14 @@ def spiderboost_replay(cfg: RunConfig) -> list:
     """Plain SpiderBoost on the batch stream of `cfg`'s seed, for fixed-length
     inner loops; returns the iterate after each outer loop.
 
-    The stream is drawn in the loop's order: the memory init's batch (drawn,
-    never evaluated), then each snapshot batch and each inner batch.  Each
-    step is x - eta_t*nu and each correction nu + (g(x_new) - g(x)), with g
-    the problem's grad_batch on the inner batch.  The identity operator
-    (k1+k2 = d) must reproduce it bit for bit.
+    The stream is drawn in the loop's order: each snapshot batch, then its
+    inner batches.  Each step is x - eta_t*nu and each correction
+    nu + (g(x_new) - g(x)), with g the problem's grad_batch on the inner
+    batch.  The identity operator (k1+k2 = d) must reproduce it bit for bit.
     """
     _require(cfg.inner_mode == "fixed", "the replay runs fixed inner loops")
     prob, n = cfg.problem, cfg.problem.n
     rng = RngStream(cfg.seed, STREAM_BATCH)
-    sample_batch(n, min(cfg.B, n), rng)
     x = _initial_iterate(prob, cfg.x0)
     iterates = []
     for _ in range(cfg.T):

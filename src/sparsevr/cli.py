@@ -583,10 +583,10 @@ run.target_grad_norm = 0.05
 run.out = runs-sparse-vs-dense
 """,
     # With k1+k2 = 10% of d the sparse variant spends 10% of the dense
-    # query units per inner step and, with the dense snapshot, 28% per
-    # outer loop (queries_over_n 0.28 against 1.0 after loop 1).  Its loss
-    # first rises, to 7.5 after loop 1 on seed 1, then falls to 0.33-0.36
-    # after loop 30; the dense one ends at 0.19.
+    # query units per inner step and 28% per outer loop (queries_over_n
+    # 0.28 against 1.0 after loop 1).  Seeds 1-3: its loss rises to 1.9 on
+    # seed 1, then ends at 0.20-0.32; dense and SGD end at 0.17-0.18.  No
+    # run of seeds 1-40 ends above its start, as sparse ones did at eta 0.5.
     "logistic-desk": """
 problem.kind = logistic-blobs
 problem.n = 2000
@@ -594,7 +594,7 @@ problem.d = 60
 problem.separation = 3.0
 problem.ridge = 0.001
 opt.algorithm = sparse-spiderboost,spiderboost,sgd
-opt.eta = 0.5
+opt.eta = 0.3
 opt.B = 400
 opt.b = 20
 opt.m = 40
@@ -698,13 +698,16 @@ def _cmd_check(_args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    consts = ProblemConstants(L=args.L, sigma2=args.sigma2,
-                              delta_f=args.delta_f, f_star=0.0,
-                              f_star_exact=False)
-    inp = HyperparamInputs(epsilon=args.epsilon, constants=consts, b=args.b,
-                           k1=args.k1, k2=args.k2, d=args.d, n=args.n)
-    for rule in RULES if args.rule == "both" else [args.rule]:
-        frag = RULES[rule](inp)
+    with _bad_input():
+        consts = ProblemConstants(L=args.L, sigma2=args.sigma2,
+                                  delta_f=args.delta_f, f_star=0.0,
+                                  f_star_exact=False)
+        inp = HyperparamInputs(epsilon=args.epsilon, constants=consts,
+                               b=args.b, k1=args.k1, k2=args.k2, d=args.d,
+                               n=args.n)
+        frags = {rule: RULES[rule](inp)
+                 for rule in (RULES if args.rule == "both" else [args.rule])}
+    for rule, frag in frags.items():
         print(f"{rule}: B={frag['B']} m={frag['m']} eta={frag['eta']:.6g} "
               f"T={frag['T']}")
     return 0

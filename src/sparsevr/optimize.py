@@ -23,9 +23,9 @@ coordinates.  The dense baseline is the same loop at k1+k2 = d, where
 every block is the identity and the step uses the dense batch gradient.
 The memory vector exists only to score the top-k1 slots, so the identity
 path keeps none: no memory, no EMA and no entropy (its rows report None),
-and a capture probe, which scores by memory, is a config error there.  It
-still draws the memory's initial batch, so both paths share one batch
-stream.
+and a capture probe, which scores by memory, is a config error there.  The
+memory starts as |nu| of the first snapshot, so every gradient pass the
+loop makes is metered.
 
 The d-vectors each sparse inner step derives from nu, the step eta_t*nu
 and the memory increment alpha*|nu|, are kept next to nu.  They are built
@@ -346,17 +346,13 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     out_index = out_rng.integers(1, cfg.T + 1) if cfg.output_mode == "uniform" else None
     x_stash = None
 
-    # Memory init from its own large batch; this one-off snapshot is not part
-    # of the per-outer-loop cost sum the meter tracks.  The identity path
-    # keeps no memory but draws the batch, so the batch stream is the same.
-    i0 = sample_batch(n, snap, batch_rng)
     if not identity:
         blocks = _operator_blocks(cfg)
         # Per-slot factor in the [top, rand] order of `coords` below.
         scales = slot_scale(p for _, p in blocks)
         # Each block's last top-k1 selection; it bounds the next one from below.
         tops = [None] * len(blocks)
-        memory, increment = np.abs(prob.grad_batch(i0, x)), np.empty(d)
+        increment = np.empty(d)
     # eta_t*nu, kept in step with nu like alpha*|nu| (see the module docstring);
     # step_eta is the eta that `step` holds, None when it is stale.
     step, step_eta = np.empty(d), None
@@ -368,6 +364,8 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
             nu = prob.grad_batch(i_snap, x)
             step_eta = None
             if not identity:
+                if j == 1:  # the memory starts as |nu| of the first snapshot
+                    memory = np.abs(nu)
                 np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
             meter.charge_snapshot(cfg.B, n)
             n_j = cfg.m if geom is None else draw_geometric(geom, geom_rng)

@@ -447,3 +447,18 @@ class TestBadInputIsOneLine:
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("bad", [
+        ["--epsilon", "0", "--L", "1", "--k1", "2", "--k2", "2"],
+        ["--epsilon", "0.1", "--L", "1", "--k1", "2", "--k2", "0"],
+        ["--epsilon", "0.1", "--L", "-1", "--k1", "2", "--k2", "2"],
+    ], ids=["epsilon-0", "k2-0-below-d", "L-negative"])
+    def test_hyper_exit_2_and_no_traceback(self, capsys, bad):
+        argv = ["hyper", *bad, "--sigma2", "1", "--delta-f", "1", "--n", "100",
+                "--d", "10", "--b", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

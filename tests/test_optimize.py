@@ -348,8 +348,8 @@ class TestLoopIsRtop:
             self, monkeypatch):
         # The loop's correction and rtop are one operator: after the first
         # inner step, nu is nu0 plus rtop of the dense batch difference,
-        # scored by the pre-update memory and drawn from the run's own
-        # operator stream.
+        # scored by the pre-update memory, |nu0|, and drawn from the run's
+        # own operator stream.
         a, b_vec, _ = gen_gaussian_ls(60, 20, seed=41)
         prob = LeastSquaresProblem(a, b_vec, ridge=0.01)
         x0 = np.random.default_rng(42).standard_normal(20)
@@ -375,11 +375,12 @@ class TestLoopIsRtop:
         monkeypatch.setattr(optimize, "_ema_step", ema)
         monkeypatch.setattr(prob, "grad_batch", grad)
         run_sparse_spiderboost(cfg)
-        _, i_snap, i_t = batches  # memory init, snapshot, inner step
+        i_snap, i_t = batches  # snapshot, inner step
         # The snapshot gradient is the nu that the one inner step updates
         # in place.
-        memory0, nu1 = memories[0], grads[1]
+        (memory0,), (nu1,) = memories, grads
         nu0 = prob.grad_batch(i_snap, x0)
+        assert same_bits(memory0, np.abs(nu0))
         x1 = x0 - cfg.eta * nu0
         dense_diff = prob.grad_batch(i_t, x1) - prob.grad_batch(i_t, x0)
         expect = nu0 + rtop(memory0, dense_diff, SparsityParams(3, 4, 20),
@@ -493,16 +494,17 @@ class TestKeptInStepVectors:
                 for i in range(0, len(scored), n_blocks)]
         steps = cfg.T * cfg.m
         assert len(seen) == steps and len(restricted) == 2 * steps
-        assert len(batches) == 1 + cfg.T * (1 + cfg.m) and len(ends) == cfg.T
+        assert len(batches) == cfg.T * (1 + cfg.m) and len(ends) == cfg.T
         scales = slot_scale(p for _, p in optimize._operator_blocks(cfg))
 
         x = cfg.x0
-        memory = np.abs(prob.grad_batch(batches[0], x))
         s = 0
         for j in range(cfg.T):
-            nu = prob.grad_batch(batches[1 + j * (1 + cfg.m)], x)
+            nu = prob.grad_batch(batches[j * (1 + cfg.m)], x)
+            if j == 0:
+                memory = np.abs(nu)  # the memory starts from the first snapshot
             for t in range(cfg.m):
-                i_t = batches[2 + j * (1 + cfg.m) + t]
+                i_t = batches[1 + j * (1 + cfg.m) + t]
                 (i_new, x_new, coords, g_new), (i_old, x_old, coords_old, g_old) = (
                     restricted[2 * s:2 * s + 2])
                 assert same_bits(seen[s], memory)
@@ -559,10 +561,11 @@ class TestIdentityKeepsNoMemory:
         assert calls == {"ema": 0, "entropy": 0}
         assert [row.entropy for row in record.rows] == [None] * cfg.T
 
-        # The memory's initial batch is still drawn, but never evaluated.
-        assert len(batches) == 1 + cfg.T * (1 + cfg.m)
+        # Every batch drawn is evaluated: one snapshot and 2m inner calls
+        # per outer loop, with no memory gradient.
+        assert len(batches) == cfg.T * (1 + cfg.m)
         assert len(grads) == cfg.T * (1 + 2 * cfg.m)
-        assert all(idx is not batches[0] for idx, _ in grads)
+        assert {id(idx) for idx, _ in grads} == {id(idx) for idx in batches}
         loop_grads = grads[:]
         grads.clear()
         want = checks.spiderboost_replay(cfg)
@@ -571,6 +574,48 @@ class TestIdentityKeepsNoMemory:
             assert same_bits(i_loop, i_ref) and same_bits(x_loop, x_ref)
         assert all(map(same_bits, record.iterates, want))
         assert same_bits(x_out, want[-1])
+
+
+class TestEveryGradientIsCharged:
+    """Every gradient the loop evaluates is on the meter: one size-min(B, n)
+    grad_batch call per snapshot event and two oracle calls per inner
+    event, restricted on the sparse path and dense on the identity path."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "geometric"])
+    @pytest.mark.parametrize("case", range(4))
+    def test_oracle_calls_match_the_meter(self, monkeypatch, case, mode):
+        prob, k1, k2 = selection_problems()[case]
+        calls = {"snapshot": 0, "inner": 0, "restricted": 0}
+        real_grad, real_restricted = prob.grad_batch, prob.grad_batch_restricted
+        snap, b = min(12, prob.n), min(3, prob.n)
+        assert snap != b
+
+        def grad(idx, x):
+            calls["snapshot" if len(idx) == snap else "inner"] += 1
+            return real_grad(idx, x)
+
+        def restricted_grad(idx, x, coords):
+            calls["restricted"] += 1
+            return real_restricted(idx, x, coords)
+
+        monkeypatch.setattr(prob, "grad_batch", grad)
+        monkeypatch.setattr(prob, "grad_batch_restricted", restricted_grad)
+        x0 = 0.3 * np.random.default_rng(8).standard_normal(prob.d)
+        for runner in (run_sparse_spiderboost, run_spiderboost_dense):
+            cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3, B=snap, b=b,
+                            k1=k1, k2=k2, inner_mode=mode, seed=3, x0=x0,
+                            record_grad_norm=False)
+            calls.update(snapshot=0, inner=0, restricted=0)
+            _, record = runner(cfg)
+            assert not record.aborted
+            events = {ev[0]: count for ev, count in record.meter.events.items()}
+            assert set(events) <= {"snapshot", "inner"}
+            steps = sum(record.inner_lengths())
+            assert events["snapshot"] == cfg.T and events.get("inner", 0) == steps
+            assert calls["snapshot"] == events["snapshot"]
+            sparse = runner is run_sparse_spiderboost
+            assert calls["restricted" if sparse else "inner"] == 2 * steps
+            assert calls["inner" if sparse else "restricted"] == 0
 
 
 def count_diagnostic_calls(monkeypatch, prob):
