@@ -547,6 +547,9 @@ class HyperparamInputs:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon * self.epsilon < math.inf:
+            raise ValueError(f"epsilon={self.epsilon:g}: its square "
+                             "underflows to 0 or overflows")
         if self.b < 1 or self.d < 1 or self.n < 1:
             raise ValueError("b, d, n must be positive")
 
@@ -555,6 +558,18 @@ def _snapshot_size(raw: float, inp: HyperparamInputs) -> int:
     # ceil(raw ∧ n), then lifted to at least the small batch so the run
     # configuration stays valid (a larger snapshot only helps).
     return int(min(inp.n, max(math.ceil(min(raw, inp.n)), inp.b, 1)))
+
+
+def _outer_loops(num: float, den: float) -> int:
+    """T = ceil(num / den), at least 1, for num = c * delta_f and
+    den = eta * m * eps^2; ValueError when that is not a finite count (an
+    infinite delta_f, or a den that is 0 or underflows to it)."""
+    raw = num / den if den > 0 else math.inf
+    if not math.isfinite(raw):
+        raise ValueError(f"T = {num:g} / {den:g} is not a finite count: "
+                         "delta_f must be finite and eta * m * epsilon^2 "
+                         "positive")
+    return max(1, math.ceil(raw))
 
 
 def worst_case_hyperparams(inp: HyperparamInputs) -> dict:
@@ -566,7 +581,7 @@ def worst_case_hyperparams(inp: HyperparamInputs) -> dict:
     big_b = _snapshot_size(2.0 * c.sigma2 / inp.epsilon ** 2, inp)
     m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))
     eta = math.sqrt(inp.k2 / (6.0 * inp.d * m)) / c.L
-    big_t = max(1, math.ceil(4.0 * c.delta_f / (eta * m * inp.epsilon ** 2)))
+    big_t = _outer_loops(4.0 * c.delta_f, eta * m * inp.epsilon ** 2)
     return {"B": big_b, "m": m, "eta": eta, "T": big_t}
 
 
@@ -580,7 +595,7 @@ def data_adaptive_hyperparams(inp: HyperparamInputs) -> dict:
     big_b = _snapshot_size(3.0 * c.sigma2 / inp.epsilon ** 2, inp)
     m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))
     eta = math.sqrt(min(inp.b, m) / (3.0 * m)) / c.L
-    big_t = max(1, math.ceil(6.0 * c.delta_f / (eta * m * inp.epsilon ** 2)))
+    big_t = _outer_loops(6.0 * c.delta_f, eta * m * inp.epsilon ** 2)
     return {"B": big_b, "m": m, "eta": eta, "T": big_t}
 
 

@@ -37,6 +37,13 @@ Also here: closed-form or estimated problem constants (smoothness L,
 gradient second-moment bound sigma^2, initial suboptimality delta_f), the
 memory-bounded chunking of per-component sweeps, seeded synthetic dataset
 generators, and the text dataset format.
+
+Generators build in place; full-data transients are TILE_FLOATS row
+blocks.  A generator scales and shifts its standard-normal draw where it
+lies, and its row norms, the finiteness check and the smoothness hints go
+over row blocks of at most TILE_FLOATS values, so no transient is the size
+of the data.  Each is elementwise or a per-row reduction, so the blocks
+change no bit of a result.
 """
 
 from __future__ import annotations
@@ -55,7 +62,9 @@ CHUNK_FLOATS = 2 ** 22
 
 # Floats per row tile of a least-squares pass: 2**17 float64
 # values, 1 MiB (128 rows at d = 1,000), so a tile read for its residuals
-# is still in L2 when the gradient sum reads it again.
+# is still in L2 when the gradient sum reads it again.  The row blocks of
+# the generators, the finiteness check and the smoothness hints hold at
+# most this many values too.
 TILE_FLOATS = 2 ** 17
 
 
@@ -69,23 +78,44 @@ def component_chunks(idx: np.ndarray, d: int):
         yield idx[lo:lo + rows]
 
 
+def _row_blocks(n: int, width: int):
+    """Slices of consecutive row blocks of an n-row array with `width`
+    values per row: max(1, TILE_FLOATS // width) rows each, the last may be
+    shorter."""
+    rows = max(1, TILE_FLOATS // max(1, width))
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
+
+
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)): stable in
     both tails.  Both branches are e / (1 + e) with e = exp(-|z|) taken over
-    the whole array, and the numerator e set to 1 where z >= 0, so there is
-    no masked gather or scatter; `out` may be `z` itself."""
+    the whole array.  The numerator is max(e, z >= 0): where z >= 0, e <= 1
+    and the max is exactly 1; elsewhere the mask is 0 and e >= 0 is kept (a
+    NaN stays NaN).  So there is no masked gather, scatter or copy; `out`
+    may be `z` itself."""
     pos = z >= 0
     e = np.abs(z, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
     den = e + 1.0
-    np.copyto(e, 1.0, where=pos)
+    np.maximum(e, pos, out=e)
     return np.divide(e, den, out=e)
 
 
 def _require_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("data contains NaN or Inf")
+    """ValueError if an array holds a NaN or Inf, checked one row block at a
+    time."""
+    for a in arrays:
+        width = math.prod(a.shape[1:])
+        if not all(np.isfinite(a[s]).all() for s in _row_blocks(len(a), width)):
+            raise ValueError("data contains NaN or Inf")
+
+
+def _max_row_norm2(a: np.ndarray) -> float:
+    """max_i ||a_i||^2, each row summed as np.sum(a * a, axis=1) sums it,
+    one row block at a time."""
+    return max(float(np.max(np.sum(a[s] * a[s], axis=1)))
+               for s in _row_blocks(*a.shape))
 
 
 class FiniteSumProblem(abc.ABC):
@@ -210,6 +240,11 @@ class LeastSquaresProblem(FiniteSumProblem):
             else:
                 np.matmul(tile.T, r_c, out=g)
             lo = hi
+            # Free a gathered tile before the next is gathered.  A pass then
+            # holds one tile, under the trim threshold that glibc sets from
+            # a freed tile, so the heap keeps the tile's pages for the next
+            # pass instead of returning them and faulting them back in.
+            del tile
         return x, idx, r, g
 
     def _loss(self, state):
@@ -227,7 +262,7 @@ class LeastSquaresProblem(FiniteSumProblem):
         return self.A[idx] * r[:, None] + self.ridge * x[None, :]
 
     def smoothness_hint(self):
-        return float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
+        return _max_row_norm2(self.A) + self.ridge
 
     def reference_minimum(self):
         """Normal-equation solve; falls back to lstsq for singular systems."""
@@ -282,7 +317,7 @@ class LogisticProblem(FiniteSumProblem):
         return sub * self._weights(y, z)[:, None] + self.ridge * x[None, :]
 
     def smoothness_hint(self):
-        return 0.25 * float(np.max(np.sum(self.A * self.A, axis=1))) + self.ridge
+        return 0.25 * _max_row_norm2(self.A) + self.ridge
 
     def reference_minimum(self):
         """Full-gradient descent at step 1/L until the gradient norm is at
@@ -600,8 +635,10 @@ def gen_planted_ls(n: int, d: int, s_active: int, seed: int,
     active.sort()
     scales = np.full(d, tau)
     scales[active] = 1.0
-    a = rng.standard_normal((n, d)) * scales[None, :]
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a = rng.standard_normal((n, d))
+    a *= scales
+    for s in _row_blocks(n, d):
+        a[s] /= np.linalg.norm(a[s], axis=1, keepdims=True)
     x_true = np.zeros(d)
     coeff = rng.standard_normal(s_active)
     coeff *= signal_norm / np.linalg.norm(coeff)
@@ -624,7 +661,10 @@ def gen_logistic_blobs(n: int, d: int, seed: int, separation: float = 2.0):
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
     y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    a = rng.standard_normal((n, d)) + (separation / 2.0) * y[:, None] * direction[None, :]
+    shift = (separation / 2.0) * y
+    a = rng.standard_normal((n, d))
+    for s in _row_blocks(n, d):
+        a[s] += shift[s, None] * direction
     return a, y
 
 
@@ -638,8 +678,10 @@ def gen_class_blobs(n: int, d: int, classes: int, seed: int,
     centers = rng.standard_normal((classes, d))
     centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
     labels = rng.integers(0, classes, size=n)
-    x = rng.standard_normal((n, d)) + centers[labels]
-    return x, labels.astype(np.int64)
+    x = rng.standard_normal((n, d))
+    for s in _row_blocks(n, d):
+        x[s] += centers[labels[s]]
+    return x, labels.astype(np.int64, copy=False)
 
 
 def gen_low_rank_ratings(n_rows: int, n_cols: int, rank: int, seed: int,

@@ -462,3 +462,29 @@ class TestBadInputIsOneLine:
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("epsilon, delta_f, says", [
+        ("1e-300", "1", "underflows"),   # epsilon**2 is 0
+        ("0.1", "inf", "T = inf"),       # T = ceil(inf)
+    ], ids=["epsilon-squared-underflows", "delta-f-inf"])
+    def test_hyper_overflow_exit_2(self, capsys, epsilon, delta_f, says):
+        argv = ["hyper", "--epsilon", epsilon, "--L", "1", "--sigma2", "1",
+                "--delta-f", delta_f, "--n", "100", "--d", "10", "--b", "5",
+                "--k1", "2", "--k2", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert says in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_run_with_underflowing_epsilon_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        out = tmp_path / "never"
+        cfg.write_text(MINIMAL + "opt.rule = data-adaptive\n"
+                                 "opt.epsilon = 1e-300\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "underflows" in err
+        assert not out.exists()

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,17 @@ def all_desk_problems():
     rows, cols, vals, _, _ = gen_low_rank_ratings(6, 5, 2, seed=4, density=0.5)
     mf = MatrixFactorizationProblem(rows, cols, vals, 6, 5, 2, ridge=0.01)
     return [ls, lo, mlp, mf]
+
+
+def traced_peak(fn):
+    """(bytes traced at the peak of fn(), its result); numpy reports its
+    array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 class TestLeastSquares:
@@ -173,6 +186,16 @@ def masked_sigmoid(z):
     return out
 
 
+def copyto_sigmoid(z):
+    """`_sigmoid` as it was when a masked copy set the numerator to 1 where
+    z >= 0, kept as the reference for the bits of its max form."""
+    pos = z >= 0
+    e = np.exp(-np.abs(z))
+    den = e + 1.0
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, den, out=e)
+
+
 def per_layer_mlp(p, idx, x, coords=None):
     """The MLP oracle as it was before the one-buffer kernels, kept as the
     reference for their bits: masked sigmoid, `z @ w + b`, deltas
@@ -245,6 +268,19 @@ class TestSameBitsAsTheMaskedKernels:
                 assert aliased.tobytes() == want.tobytes()
             block = chunks[5][:2560].reshape(10, 256)   # a hidden layer's shape
             assert _sigmoid(block).tobytes() == masked_sigmoid(block).tobytes()
+
+    def test_max_numerator_has_the_masked_copy_bits(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308,
+                            -2.2e-308, 745.0, -745.0, 1e308, -1e308])
+        rng = np.random.default_rng(51)
+        for z in (special, rng.standard_normal(200_000) * 40.0,
+                  rng.standard_normal(1_000) * 1e-310,   # subnormal
+                  rng.standard_normal((10, 256))):       # a hidden layer
+            want = copyto_sigmoid(z)
+            assert _sigmoid(z).tobytes() == want.tobytes()
+            aliased = z.copy()
+            assert _sigmoid(aliased, out=aliased).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layers", [[6, 9, 4], [6, 9, 7, 4]],
                              ids=["one-hidden", "two-hidden"])
@@ -431,6 +467,17 @@ class TestLeastSquaresTiles:
         loss = 0.5 * float(r @ r) / len(r) + 0.5 * self.RIDGE * float(x @ x)
         return r, loss, sub.T @ r / len(r) + self.RIDGE * x
 
+    def test_a_gathered_pass_holds_one_tile(self):
+        # 1,000 rows at d = 1,000 are eight gathered tiles of up to
+        # 1,024,000 bytes; the pass frees each before gathering the next.
+        a, b, _ = gen_gaussian_ls(1_200, 1_000, seed=62)
+        p = LeastSquaresProblem(a, b)
+        rng = np.random.default_rng(63)
+        idx = np.sort(rng.choice(p.n, size=1_000, replace=False))
+        x = rng.standard_normal(p.d)
+        peak, _ = traced_peak(lambda: p.grad_batch(idx, x))
+        assert peak < problems.TILE_FLOATS * 8 + 2 ** 16
+
     @pytest.mark.parametrize("rows", [1, 4, 10])
     def test_residuals_and_loss_are_the_untiled_bits(self, monkeypatch, rows):
         monkeypatch.setattr(problems, "TILE_FLOATS", rows * self.D)
@@ -534,6 +581,41 @@ class TestRejectsNonFiniteData:
     def test_matrix_factorization(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             MatrixFactorizationProblem([0, 1], [1, 0], [0.5, np.nan], 2, 2, 1)
+
+
+class TestRowBlockedChecks:
+    """The finiteness check and the smoothness hints read the data one row
+    block at a time, so on a 4000 x 500 matrix (16 MB) neither holds a
+    transient the size of the data; the hints keep their bits."""
+
+    @pytest.fixture
+    def data(self):
+        return np.random.default_rng(52).standard_normal((4000, 500))
+
+    def test_require_finite_peak(self, data):
+        # One block's mask: 262 rows x 500 bools, against 2,000,000 for a
+        # mask of the whole matrix.
+        peak, _ = traced_peak(lambda: problems._require_finite(data))
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("at", [(0, 0), (3929, 499), (3930, 0),
+                                    (3999, 499)],
+                             ids=["first", "end-of-block", "last-block",
+                                  "last"])
+    def test_require_finite_sees_every_block(self, data, at):
+        data[at] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            problems._require_finite(np.zeros(3), data)
+
+    @pytest.mark.parametrize("cls, scale", [(LeastSquaresProblem, 1.0),
+                                            (LogisticProblem, 0.25)],
+                             ids=["least-squares", "logistic"])
+    def test_smoothness_hint_peak_and_bits(self, data, cls, scale):
+        data[3999] *= 3.0   # the largest row is in the ragged last block
+        p = cls(data, np.ones(len(data)), ridge=0.01)
+        peak, hint = traced_peak(p.smoothness_hint)
+        assert hint == scale * float(np.max(np.sum(data * data, axis=1))) + 0.01
+        assert peak < 2 * 2 ** 20
 
 
 class TestBatchMeanVarianceBound:
@@ -664,3 +746,86 @@ class TestGenerators:
                                                         density=1.0)
         recon = np.sum(pf[rows] * qf[cols], axis=1)
         np.testing.assert_allclose(recon, vals, atol=1e-12)
+
+
+def output_digest(arrays):
+    """SHA-256 over each array's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratorsBuildInPlace:
+    """Every generator's output keeps its bytes, and its traced peak is the
+    output plus at most four TILE_FLOATS blocks: it scales and shifts its
+    draw in place and takes row norms one row block at a time."""
+
+    # Shapes: ls-target's; n = 1; a ragged last block (300 rows at d = 1000
+    # go in blocks of 131, 131 and 38); and d = 131,075 > TILE_FLOATS, so
+    # that every block is one row.  The digests were taken from generators
+    # that built the whole draw's products and norms at once.
+    CASES = {
+        "planted-ls-target": (gen_planted_ls, dict(
+            n=10_000, d=1_000, s_active=10, seed=1, tau=0.005, noise=0.02),
+            "d5d7ec655c0d793c41a2d9ac69ea9d3ed743c6101ee8435f6c35e607f0f63809"),
+        "planted-n1": (gen_planted_ls, dict(n=1, d=50, s_active=3, seed=2),
+            "66261278d404337276b6c0c6ac79c96fff62d7c1e266366540820ca02eec8580"),
+        "planted-ragged": (gen_planted_ls, dict(
+            n=300, d=1_000, s_active=5, seed=3),
+            "ca72221974befcec2f7056725223160e0aa1bfe6efd948adc534517cc7e8799f"),
+        "planted-wide": (gen_planted_ls, dict(
+            n=3, d=131_075, s_active=7, seed=4),
+            "50b8b1d1858e488c629b5380c058d3e3ca06bd42ab66b48971af47bfa877456c"),
+        "gaussian-ls-target": (gen_gaussian_ls, dict(
+            n=10_000, d=1_000, seed=5, noise=0.02),
+            "3c3ec2d415bbbbc4da62e911f14eb6c90ebae04f9793637bd427b49dac7fca8b"),
+        "gaussian-n1": (gen_gaussian_ls, dict(n=1, d=50, seed=6),
+            "b4a5b5db2ed8098975925a19ada684ba6427c896d919e60d9447e4cc6c102cf1"),
+        "gaussian-ragged": (gen_gaussian_ls, dict(n=300, d=1_000, seed=7),
+            "6bda01fba49dfb168c4a34d75463a63f0d9f039086e3506cebd4581c73e2b21d"),
+        "gaussian-wide": (gen_gaussian_ls, dict(n=3, d=131_075, seed=8),
+            "35a13a237c77f114d41f76fbffcb3f93847480833529e873d5d483e5257daf65"),
+        "logistic-ls-target": (gen_logistic_blobs, dict(
+            n=10_000, d=1_000, seed=9),
+            "493a6b4979a3f1eba21b6a269a4cff8d5b152ab256a697721fe603582c066030"),
+        "logistic-n1": (gen_logistic_blobs, dict(n=1, d=50, seed=10),
+            "7182f108f657edaf0fe1395fdd2a037be81d3f0bc5dbe6b330809afc0d62f88b"),
+        "logistic-ragged": (gen_logistic_blobs, dict(
+            n=300, d=1_000, seed=11, separation=3.0),
+            "2fa81dcd5323bb659d5a45f51682d339f0d12279b6f6c04f19e5e1defa7e6f93"),
+        "logistic-wide": (gen_logistic_blobs, dict(n=3, d=131_075, seed=12),
+            "b28af974f49864e2582c573ccdcdf914831f126fae647be35714758a7b1f3dfd"),
+        "class-ls-target": (gen_class_blobs, dict(
+            n=10_000, d=1_000, classes=10, seed=13),
+            "b222469b36403570148a006c2614add98c79dc96219d6aa73b81966360d28df0"),
+        "class-n1": (gen_class_blobs, dict(n=1, d=50, classes=3, seed=14),
+            "856f4f0518fdc0b24d9c31e339867c7cbfc2735b969a3ecb1e2e71a26df39244"),
+        "class-ragged": (gen_class_blobs, dict(
+            n=300, d=1_000, classes=4, seed=15),
+            "9d766ceb0a58bdcfb634f67331b8d88307802c97af6147a91a7d297da81e8681"),
+        "class-wide": (gen_class_blobs, dict(
+            n=3, d=131_075, classes=2, seed=16),
+            "95389178bea182aa2f47ce681d7ab663f33dc282ff320c73b49e16dfa4284852"),
+        "class-mlp-wide": (gen_class_blobs, dict(
+            n=2_000, d=784, classes=10, seed=1, separation=20.0),
+            "63ea27179bf4768a10d65fb0dd77c8d130edc24e4438689929a41a2e831b0d7e"),
+        "ratings": (gen_low_rank_ratings, dict(
+            n_rows=200, n_cols=100, rank=3, seed=17, density=0.1, noise=0.01),
+            "554ef03d042ed70958c8ae8a9d091d2885c2b3206f6f37296b7df34460f5bac4"),
+    }
+
+    def test_shapes_cover_the_blocks(self):
+        assert 131_075 > problems.TILE_FLOATS
+        rows = problems.TILE_FLOATS // 1_000
+        assert 300 % rows and 300 > rows
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bytes_and_traced_peak(self, name):
+        gen, kw, want = self.CASES[name]
+        peak, out = traced_peak(lambda: gen(**kw))
+        assert output_digest(out) == want
+        returned = sum(np.asarray(a).nbytes for a in out)
+        assert peak <= returned + 4 * problems.TILE_FLOATS * 8
