@@ -4,7 +4,7 @@ from .diagnostics import (QueryMeter, SparsityCapture, entropy_bits,
                           estimate_estimator_variance, measure_g_G)
 from .optimize import (HyperparamInputs, RunConfig, RunRecord,
                        allocate_block_sparsity, apply_hyperparams,
-                       data_adaptive_hyperparams, ema_update, run_sgd,
+                       data_adaptive_hyperparams, run_sgd,
                        run_sparse_spiderboost, run_spiderboost_dense,
                        worst_case_hyperparams)
 from .problems import (FiniteSumProblem, LeastSquaresProblem, LogisticProblem,
@@ -22,7 +22,7 @@ __all__ = [
     "QueryMeter", "SparsityCapture", "entropy_bits",
     "estimate_estimator_variance", "measure_g_G",
     "HyperparamInputs", "RunConfig", "RunRecord", "allocate_block_sparsity",
-    "apply_hyperparams", "data_adaptive_hyperparams", "ema_update", "run_sgd",
+    "apply_hyperparams", "data_adaptive_hyperparams", "run_sgd",
     "run_sparse_spiderboost", "run_spiderboost_dense", "worst_case_hyperparams",
     "FiniteSumProblem", "LeastSquaresProblem", "LogisticProblem",
     "MatrixFactorizationProblem", "MLPProblem", "ProblemConstants",

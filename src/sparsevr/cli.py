@@ -15,6 +15,11 @@ at that seed and writes one CSV whose '#' header echoes it; an aggregate
 CSV keyed by queries-over-n bins is rebuilt from the per-run files
 afterwards.  Bad input is one `config error:` line on stderr, exit status
 2.  Set SPARSE_VR_LOG=DEBUG|INFO|... for logging verbosity.
+
+Least-squares losses, and so the CSV loss columns, can differ in their
+last bits between BLAS thread counts.  The package does not pin threads;
+set OPENBLAS_NUM_THREADS=1 for CSVs that are bit-identical across
+machines.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Query metering, memory-vector entropy, and sparsity-capture probes.
 
-The meter accumulates gradient-query cost in exact rational arithmetic:
-a full per-sample gradient costs one unit, a gradient restricted to k of
-d coordinates costs k/d units, so tests can demand equality rather than
-tolerance.  Entropy of the normalized memory vector quantifies how much
-structure the per-coordinate gradient magnitudes exhibit; the capture
-quantities g and G measure how much gradient-difference energy escapes
-a given top-k1 selection.
+The meter counts gradient-query events and derives their cost exactly,
+in rational arithmetic: a full per-sample gradient costs one unit, a
+gradient restricted to k of d coordinates costs k/d units, so tests can
+demand equality rather than tolerance.  Entropy of the normalized memory
+vector quantifies how much structure the per-coordinate gradient
+magnitudes exhibit; the capture quantities g and G measure how much
+gradient-difference energy escapes a given top-k1 selection.
 """
 
 from __future__ import annotations
@@ -23,51 +23,56 @@ from .vecops import as_vector
 
 @dataclass
 class QueryMeter:
-    """Exact rational accumulator of gradient-query units."""
+    """Count of gradient-query events; the units derive from the count.
 
-    units: Fraction = Fraction(0)
-    # event tuple -> number of times it was charged; bounded by the number
-    # of distinct events, not the number of steps
+    `events` maps an event tuple (kind, *parameters) to the number of times
+    it was charged, so it is bounded by the number of distinct events, not
+    the number of steps.
+    """
+
     events: Counter = field(default_factory=Counter)
 
+    # Cost in units of one event of each kind, from its parameters: a
+    # snapshot is min(batch, n) full per-sample gradients, an inner step two
+    # size-b gradients restricted to k of d coordinates, an SGD step one
+    # size-b gradient, and "adjust" an assigned total's difference (`units`).
+    COSTS = {
+        "snapshot": lambda batch, n: Fraction(min(batch, n)),
+        "inner": lambda b, k, d: Fraction(2 * b * k, d),
+        "sgd": Fraction,
+        "adjust": Fraction,
+    }
+
     def charge_snapshot(self, batch: int, n: int) -> None:
-        """Large-batch snapshot: min(batch, n) full per-sample gradients."""
+        """Count one snapshot of `batch` samples out of `n`."""
         if batch < 1 or n < 1:
             raise ValueError("batch and n must be positive")
-        self.units += Fraction(min(batch, n))
         self.events[("snapshot", batch, n)] += 1
 
     def charge_inner(self, b: int, k: int, d: int) -> None:
-        """One inner step: two size-b gradients restricted to k of d coords."""
+        """Count one inner step: size-b batch, k of d coordinates."""
         if b < 1 or k < 1 or d < 1:
             raise ValueError("event parameters must be positive")
-        self.units += Fraction(2 * b * k, d)
         self.events[("inner", b, k, d)] += 1
 
     def charge_sgd(self, b: int) -> None:
-        """One SGD step: a single size-b gradient."""
+        """Count one SGD step with a size-b batch."""
         if b < 1:
             raise ValueError("b must be positive")
-        self.units += Fraction(b)
         self.events[("sgd", b)] += 1
 
-    def units_float(self) -> float:
-        return float(self.units)
+    @property
+    def units(self) -> Fraction:
+        """Exact total: count times cost, summed over the events."""
+        return sum((count * self.COSTS[kind](*args)
+                    for (kind, *args), count in self.events.items()),
+                   Fraction(0))
 
-    def recomputed_units(self) -> Fraction:
-        """Re-derive the total from the event counts (invariant check)."""
-        total = Fraction(0)
-        for ev, count in self.events.items():
-            kind = ev[0]
-            if kind == "snapshot":
-                total += count * Fraction(min(ev[1], ev[2]))
-            elif kind == "inner":
-                total += count * Fraction(2 * ev[1] * ev[2], ev[3])
-            elif kind == "sgd":
-                total += count * Fraction(ev[1])
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
-        return total
+    @units.setter
+    def units(self, total) -> None:
+        # Assigning a total counts one "adjust" event for the difference,
+        # so the units still derive from the events alone.
+        self.events[("adjust", Fraction(total) - self.units)] += 1
 
 
 def entropy_bits(memory: np.ndarray) -> float:

@@ -85,17 +85,6 @@ def _ema_step(memory: np.ndarray, increment: np.ndarray, alpha: float) -> np.nda
     return memory
 
 
-def ema_update(memory: np.ndarray, nu: np.ndarray, alpha: float) -> np.ndarray:
-    """Set memory to (1-alpha)*memory + alpha*|nu| in place and return it.
-
-    Entrywise; preserves nonnegativity.  `memory` must be a float64 array
-    the caller owns.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    return _ema_step(memory, alpha * np.abs(nu), alpha)
-
-
 def _check_target(target_grad_norm: float | None) -> None:
     if target_grad_norm is not None and not target_grad_norm >= 0:
         raise ValueError("target_grad_norm must be nonnegative")
@@ -420,7 +409,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
             toc = time.perf_counter()
             record.rows.append(RunRow(
                 j=j, n_inner=n_j, loss=loss, grad_norm=grad_norm,
-                units=meter.units_float(), entropy=ent,
+                units=float(meter.units), entropy=ent,
                 wall_ms=(toc - tic) * 1e3,
                 diag_ms=(toc - diag_tic) * 1e3, g=g_val, G=big_g_val, R=r_val))
             if record.iterates is not None:
@@ -520,7 +509,7 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
                 toc = time.perf_counter()
                 record.rows.append(RunRow(
                     j=t, n_inner=1, loss=loss, grad_norm=grad_norm,
-                    units=meter.units_float(), entropy=None,
+                    units=float(meter.units), entropy=None,
                     wall_ms=(toc - tic) * 1e3,
                     diag_ms=(toc - diag_tic) * 1e3))
                 tic = time.perf_counter()

@@ -47,24 +47,44 @@ class TestQueryMeter:
     def test_units_equal_event_log_recomputation(self):
         m = QueryMeter()
         rng = np.random.default_rng(1)
+        expect = Fraction(0)
         for _ in range(200):
             kind = rng.integers(0, 3)
             if kind == 0:
-                m.charge_snapshot(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+                batch, n = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+                m.charge_snapshot(batch, n)
+                expect += min(batch, n)
             elif kind == 1:
                 d = int(rng.integers(1, 30))
-                m.charge_inner(int(rng.integers(1, 20)),
-                               int(rng.integers(1, d + 1)), d)
+                b, k = int(rng.integers(1, 20)), int(rng.integers(1, d + 1))
+                m.charge_inner(b, k, d)
+                expect += Fraction(2 * b * k, d)
             else:
-                m.charge_sgd(int(rng.integers(1, 20)))
-        assert m.units == m.recomputed_units()
+                b = int(rng.integers(1, 20))
+                m.charge_sgd(b)
+                expect += b
+        assert m.units == expect
 
     def test_event_log_is_bounded_by_distinct_events(self):
         m = QueryMeter()
         for _ in range(10_000):
             m.charge_inner(10, 3, 100)
         assert len(m.events) == 1
-        assert m.units == m.recomputed_units() == Fraction(6000)
+        assert m.units == 10_000 * Fraction(2 * 10 * 3, 100) == Fraction(6000)
+
+    def test_units_derive_from_the_event_counts(self):
+        m = QueryMeter()
+        m.events[("inner", 10, 3, 7)] += 2
+        assert m.units == Fraction(120, 7)
+
+    def test_an_assigned_total_is_counted_as_an_event(self):
+        m = QueryMeter()
+        m.charge_sgd(3)
+        m.units += Fraction(1, 12)
+        assert m.units == Fraction(37, 12)
+        m.charge_sgd(3)
+        assert m.units == Fraction(73, 12)
+        assert sum(m.events.values()) == 3
 
     def test_rejects_nonpositive_parameters(self):
         m = QueryMeter()

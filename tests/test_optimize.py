@@ -8,7 +8,7 @@ import pytest
 from sparsevr.diagnostics import estimate_estimator_variance, measure_g_G
 from sparsevr.optimize import (HyperparamInputs, RunConfig,
                                allocate_block_sparsity, apply_hyperparams,
-                               data_adaptive_hyperparams, ema_update, run_sgd,
+                               data_adaptive_hyperparams, run_sgd,
                                run_sparse_spiderboost, run_spiderboost_dense,
                                worst_case_hyperparams)
 from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
@@ -28,27 +28,29 @@ def quadratic_problem():
 
 
 class TestEmaUpdate:
+    """The loop's EMA step, given the increment alpha*|nu| it is passed."""
+
+    @staticmethod
+    def ema(memory, nu, alpha):
+        return optimize._ema_step(memory, alpha * np.abs(nu), alpha)
+
     def test_alpha_one_is_abs(self):
-        out = ema_update(np.array([5.0, 1.0]), np.array([-2.0, 3.0]), 1.0)
+        out = self.ema(np.array([5.0, 1.0]), np.array([-2.0, 3.0]), 1.0)
         assert out.tolist() == [2.0, 3.0]
 
     def test_alpha_zero_keeps_memory(self):
-        out = ema_update(np.array([5.0, 1.0]), np.array([-2.0, 3.0]), 0.0)
+        out = self.ema(np.array([5.0, 1.0]), np.array([-2.0, 3.0]), 0.0)
         assert out.tolist() == [5.0, 1.0]
 
     def test_half_half(self):
-        out = ema_update(np.array([2.0, 0.0]), np.array([-4.0, 2.0]), 0.5)
+        out = self.ema(np.array([2.0, 0.0]), np.array([-4.0, 2.0]), 0.5)
         assert out.tolist() == [3.0, 1.0]
-
-    def test_rejects_alpha_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            ema_update(np.zeros(2), np.zeros(2), 1.5)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         memory = rng.random(6)
         for _ in range(50):
-            memory = ema_update(memory, rng.standard_normal(6), rng.random())
+            memory = self.ema(memory, rng.standard_normal(6), rng.random())
             assert np.all(memory >= 0.0)
 
 
@@ -514,7 +516,7 @@ class TestKeptInStepVectors:
                 assert same_bits(x_new, x - optimize._inner_eta(cfg, t) * nu)
                 nu = nu.copy()
                 nu[coords] += scales * (g_new - g_old)
-                memory = ema_update(memory.copy(), nu, cfg.alpha)
+                memory = memory * (1 - cfg.alpha) + cfg.alpha * np.abs(nu)
                 x = x_new
                 s += 1
             assert same_bits(ends[j], memory)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsevr import sparsity
-from sparsevr.optimize import ema_update
 from sparsevr.sampling import RngStream
 from sparsevr.sparsity import (ENUMERATION_GUARD, SparsityParams,
                                draw_support, rtop, rtop_enumerate,
@@ -101,7 +100,8 @@ def random_memory_and_previous(rng):
     else:
         prev = select_top_k1(memory, k1)
         nu = rng.integers(-3, 4, size=d).astype(float)
-        memory = ema_update(memory, nu, float(rng.choice([0.0, 0.5, 1.0])))
+        alpha = float(rng.choice([0.0, 0.5, 1.0]))
+        memory = memory * (1 - alpha) + alpha * np.abs(nu)
     return memory, k1, prev
 
 
