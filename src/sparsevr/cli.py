@@ -78,11 +78,17 @@ def _parse_ints(s):
     return [int(v) for v in s.split(",") if v.strip() != ""]
 
 
+def _one_of(*choices):
+    """Parser of a value that must be one of `choices`."""
+    def parse(s):
+        if s not in choices:
+            raise ValueError(f"got {s!r}, choices: {', '.join(choices)}")
+        return s
+    return parse
+
+
 def _parse_algs(s):
-    algs = [v.strip() for v in s.split(",") if v.strip()]
-    for a in algs:
-        if a not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r} (choices: {ALGORITHMS})")
+    algs = [_one_of(*ALGORITHMS)(v.strip()) for v in s.split(",") if v.strip()]
     if not algs:
         raise ValueError("need at least one algorithm")
     if len(set(algs)) < len(algs):
@@ -90,34 +96,16 @@ def _parse_algs(s):
     return algs
 
 
-def _parse_kind(s):
-    if s not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind {s!r} (choices: {PROBLEM_KINDS})")
-    return s
-
-
-def _parse_mode(s):
-    if s not in ("impl", "theory"):
-        raise ValueError(f"mode must be 'impl' or 'theory', got {s!r}")
-    return s
-
-
 # The two parameter rules by their config name; opt.rule = none sets neither.
 RULES = {"worst-case": worst_case_hyperparams,
          "data-adaptive": data_adaptive_hyperparams}
-
-
-def _parse_rule(s):
-    if s != "none" and s not in RULES:
-        raise ValueError(f"rule must be none/{'/'.join(RULES)}, got {s!r}")
-    return s
 
 
 _REQUIRED = object()
 
 # key -> (parser, default); _REQUIRED defaults are checked per problem kind.
 _SCHEMA = {
-    "problem.kind": (_parse_kind, _REQUIRED),
+    "problem.kind": (_one_of(*PROBLEM_KINDS), _REQUIRED),
     "problem.path": (str, None),
     "problem.n": (int, None),
     "problem.d": (int, None),
@@ -143,13 +131,13 @@ _SCHEMA = {
     "opt.alpha": (float, 0.5),
     "opt.k1": (int, None),
     "opt.k2": (int, None),
-    "opt.rule": (_parse_rule, "none"),
+    "opt.rule": (_one_of("none", *RULES), "none"),
     "opt.epsilon": (float, None),
     "opt.steps": (int, None),
     "opt.eta_end": (float, None),
     "opt.eta_decay": (float, None),
     "run.seeds": (_parse_ints, [0]),
-    "run.mode": (_parse_mode, "impl"),
+    "run.mode": (_one_of("impl", "theory"), "impl"),
     "run.out": (str, "runs"),
     "run.record_grad_norm": (_parse_bool, True),
     "run.timing": (_parse_bool, False),
@@ -206,6 +194,8 @@ class ExperimentSpec:
             raise ConfigError("opt.epsilon is required when opt.rule is set")
         if not v["run.seeds"]:
             raise ConfigError("run.seeds must list at least one seed")
+        if len(set(v["run.seeds"])) < len(v["run.seeds"]):
+            raise ConfigError(f"run.seeds lists a seed twice: {v['run.seeds']}")
         if v["run.bins"] < 1:
             raise ConfigError("run.bins must be positive")
         if v["run.jobs"] < 1:

@@ -85,6 +85,12 @@ def _ema_step(memory: np.ndarray, increment: np.ndarray, alpha: float) -> np.nda
     return memory
 
 
+def _check_step(name: str, value: float | None) -> None:
+    """ValueError unless the step size `value` is None or in (0, inf)."""
+    if value is not None and not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _check_target(target_grad_norm: float | None) -> None:
     if target_grad_norm is not None and not target_grad_norm >= 0:
         raise ValueError("target_grad_norm must be nonnegative")
@@ -115,8 +121,7 @@ class RunConfig:
 
     def validate(self) -> None:
         d, n = self.problem.d, self.problem.n
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        _check_step("eta", self.eta)
         if self.m < 1 or self.T < 1:
             raise ValueError("m and T must be at least 1")
         if self.B < 1 or self.b < 1:
@@ -135,8 +140,7 @@ class RunConfig:
             raise ValueError("output_mode must be 'last' or 'uniform'")
         if self.x0 is not None:
             as_vector(self.x0, d)
-        if self.eta_end is not None and not self.eta_end > 0:
-            raise ValueError("eta_end must be positive")
+        _check_step("eta_end", self.eta_end)
         _check_target(self.target_grad_norm)
 
 
@@ -197,16 +201,12 @@ def _largest_remainder(total: int, weights: np.ndarray, caps: np.ndarray) -> np.
     order = np.argsort(-remainder, kind="stable")
     left = total - int(alloc.sum())
     while left > 0:
-        progressed = False
         for i in order:
             if left == 0:
                 break
             if alloc[i] < caps[i]:
                 alloc[i] += 1
                 left -= 1
-                progressed = True
-        if not progressed:
-            raise ValueError("allocation failed to place all slots")
     return alloc
 
 
@@ -457,16 +457,14 @@ def validate_sgd_args(eta: float, b: int, steps: int,
                       target_grad_norm: float | None = None) -> None:
     """Raise ValueError unless run_sgd accepts these arguments, which are
     its own but the seed and record_every."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    _check_step("eta", eta)
     if not 1 <= b <= problem.n:
         raise ValueError("need 1 <= b <= n")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if x0 is not None:
         as_vector(x0, problem.d)
-    if eta_decay is not None and not eta_decay > 0:
-        raise ValueError("eta_decay must be positive")
+    _check_step("eta_decay", eta_decay)
     _check_target(target_grad_norm)
 
 
@@ -561,17 +559,25 @@ def _outer_loops(num: float, den: float) -> int:
     return max(1, math.ceil(raw))
 
 
+def _rule(inp: HyperparamInputs, c_b: float, c_t: float,
+          eta_sq: Callable[[int], float]) -> dict:
+    """B = ceil(c_b*sigma^2/eps^2 ∧ n), m = ceil(B*d/(b*(k1+k2))),
+    eta = sqrt(eta_sq(m))/L, T = ceil(c_t*delta_f/(eta*m*eps^2)): the body
+    both parameter rules share."""
+    SparsityParams(inp.k1, inp.k2, inp.d)  # validates the sparsity budget
+    c = inp.constants
+    big_b = _snapshot_size(c_b * c.sigma2 / inp.epsilon ** 2, inp)
+    m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))
+    eta = math.sqrt(eta_sq(m)) / c.L
+    big_t = _outer_loops(c_t * c.delta_f, eta * m * inp.epsilon ** 2)
+    return {"B": big_b, "m": m, "eta": eta, "T": big_t}
+
+
 def worst_case_hyperparams(inp: HyperparamInputs) -> dict:
     """Parameter rule with guarantees independent of gradient structure:
     B = ceil(2*sigma^2/eps^2 ∧ n), m = ceil(B*d/(b*(k1+k2))),
     eta = sqrt(k2/(6*d*m))/L, T = ceil(4*delta_f/(eta*m*eps^2))."""
-    SparsityParams(inp.k1, inp.k2, inp.d)  # validates the sparsity budget
-    c = inp.constants
-    big_b = _snapshot_size(2.0 * c.sigma2 / inp.epsilon ** 2, inp)
-    m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))
-    eta = math.sqrt(inp.k2 / (6.0 * inp.d * m)) / c.L
-    big_t = _outer_loops(4.0 * c.delta_f, eta * m * inp.epsilon ** 2)
-    return {"B": big_b, "m": m, "eta": eta, "T": big_t}
+    return _rule(inp, 2.0, 4.0, lambda m: inp.k2 / (6.0 * inp.d * m))
 
 
 def data_adaptive_hyperparams(inp: HyperparamInputs) -> dict:
@@ -579,13 +585,7 @@ def data_adaptive_hyperparams(inp: HyperparamInputs) -> dict:
     the gradient-difference energy: B = ceil(3*sigma^2/eps^2 ∧ n),
     m = ceil(B*d/(b*(k1+k2))), eta = sqrt((b ∧ m)/(3m))/L,
     T = ceil(6*delta_f/(eta*m*eps^2))."""
-    SparsityParams(inp.k1, inp.k2, inp.d)  # validates the sparsity budget
-    c = inp.constants
-    big_b = _snapshot_size(3.0 * c.sigma2 / inp.epsilon ** 2, inp)
-    m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))
-    eta = math.sqrt(min(inp.b, m) / (3.0 * m)) / c.L
-    big_t = _outer_loops(6.0 * c.delta_f, eta * m * inp.epsilon ** 2)
-    return {"B": big_b, "m": m, "eta": eta, "T": big_t}
+    return _rule(inp, 3.0, 6.0, lambda m: min(inp.b, m) / (3.0 * m))
 
 
 def apply_hyperparams(cfg: RunConfig, fragment: dict) -> RunConfig:

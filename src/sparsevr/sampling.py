@@ -51,10 +51,6 @@ class RngStream:
         out = self._gen.random(size)
         return float(out) if size is None else out
 
-    def uniform_open(self) -> float:
-        """Uniform draw in (0, 1]."""
-        return 1.0 - float(self._gen.random())
-
     def integers(self, low: int, high: int) -> int:
         """One exact uniform integer in [low, high)."""
         return int(self._gen.integers(low, high))
@@ -161,13 +157,13 @@ def sample_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
 
 
 def draw_geometric(p: GeomParams, rng: RngStream) -> int:
-    """One draw of N with P(N=k) = gamma^k (1-gamma), via inverse CDF."""
-    u = rng.uniform_open()
-    return int(math.floor(math.log(u) / math.log(p.gamma)))
+    """One draw of N with P(N=k) = gamma^k (1-gamma); the first of
+    `draw_geometric_many`'s draws."""
+    return int(draw_geometric_many(p, rng, 1)[0])
 
 
 def draw_geometric_many(p: GeomParams, rng: RngStream, count: int) -> np.ndarray:
-    """Vectorized geometric draws (same inverse-CDF construction)."""
+    """`count` draws of N with P(N=k) = gamma^k (1-gamma), via inverse CDF."""
     u = 1.0 - rng.random(count)
     return np.floor(np.log(u) / math.log(p.gamma)).astype(np.int64)
 

@@ -55,10 +55,6 @@ class SparsityParams:
             raise ValueError("k2=0 is only valid when k1=d")
 
     @property
-    def k(self) -> int:
-        return self.k1 + self.k2
-
-    @property
     def scale(self) -> float:
         """Rescaling applied to the random slots; exactly 1 when k1+k2=d."""
         if self.k2 == 0:

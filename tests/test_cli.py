@@ -61,6 +61,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="listed twice"):
             parse_config(MINIMAL + "opt.algorithm = sgd,spiderboost,sgd\n")
 
+    @pytest.mark.parametrize("line, bad, choices", [
+        ("problem.kind = mystery", "'mystery'", "gaussian-ls, planted-sparse-ls"),
+        ("opt.rule = best", "'best'", "none, worst-case, data-adaptive"),
+        ("run.mode = fast", "'fast'", "impl, theory"),
+        ("opt.algorithm = sgd,adam", "'adam'",
+         "sparse-spiderboost, spiderboost, sgd")])
+    def test_bad_choice_names_the_value_and_the_choices(self, line, bad,
+                                                        choices):
+        key = line.split(" = ")[0]
+        text = "".join(ln + "\n" for ln in MINIMAL.splitlines()
+                       if not ln.startswith(key))
+        with pytest.raises(ConfigError, match=key) as err:
+            parse_config(text + line + "\n")
+        assert bad in str(err.value) and choices in str(err.value)
+
     def test_rejects_unknown_key_with_line_number(self):
         text = MINIMAL + "opt.learning_rate = 0.1\n"
         with pytest.raises(ConfigError, match="line 5.*opt.learning_rate"):
@@ -284,19 +299,37 @@ class TestMainEntrypoint:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_run_rejects_a_seed_listed_twice_before_creating_output(
+            self, tmp_path, capsys):
+        # one CSV per (algorithm, seed): a repeated seed would run twice and
+        # count as two seeds in every aggregate row
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "never"
+        cfg.write_text(SMALL_RUN.replace("run.seeds = 1,2,3",
+                                         "run.seeds = 1,2,1"))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run.seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "opt.eta_decay = nan", "opt.eta_decay = 0", "opt.eta_decay = -1",
         "opt.steps = 0", "opt.steps = -3",
-        "run.target_grad_norm = nan", "run.target_grad_norm = -1"])
+        "run.target_grad_norm = nan", "run.target_grad_norm = -1",
+        "opt.eta = inf", "opt.eta_end = inf", "opt.eta_decay = inf"])
     def test_run_rejects_bad_sgd_or_target_value_before_creating_output(
             self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.txt"
         out = tmp_path / "never"
-        cfg.write_text(SMALL_RUN.replace("sparse-spiderboost,spiderboost",
-                                         "sparse-spiderboost,sgd") + line + "\n")
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         key = line.split(" = ")[0]
-        assert key.split(".")[1] in capsys.readouterr().err
+        # the line takes the place of SMALL_RUN's own one for its key
+        kept = [ln for ln in SMALL_RUN.replace(
+                    "sparse-spiderboost,spiderboost",
+                    "sparse-spiderboost,sgd").splitlines()
+                if ln.split(" = ")[0] != key]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key.split(".")[1] in err and "duplicate" not in err
         assert not out.exists()
 
     def test_run_rejects_block_allocation_before_creating_output(

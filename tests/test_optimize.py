@@ -125,12 +125,17 @@ class TestRunConfigValidation:
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2,
                       k1=2, k2=1).validate()
 
-    @pytest.mark.parametrize("target", [math.nan, -1.0])
-    def test_rejects_bad_target_grad_norm(self, target):
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("target_grad_norm", math.nan, id="nan"),
+        pytest.param("target_grad_norm", -1.0, id="-1.0"),
+        # and the step sizes, which must be finite too
+        pytest.param("eta", math.inf, id="eta-inf"),
+        pytest.param("eta_end", math.inf, id="eta_end-inf")])
+    def test_rejects_bad_target_grad_norm(self, field, value):
         prob = quadratic_problem()
-        with pytest.raises(ValueError, match="target_grad_norm"):
-            RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4,
-                      target_grad_norm=target).validate()
+        cfg = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4)
+        with pytest.raises(ValueError, match=field):
+            replace(cfg, **{field: value}).validate()
 
     def test_rejects_capture_at_the_identity(self):
         # The identity keeps no memory to score a top-k1 set with.
@@ -846,7 +851,8 @@ class TestSgd:
     @pytest.mark.parametrize("bad", [
         dict(eta=math.nan), dict(eta_decay=math.nan), dict(eta_decay=0.0),
         dict(eta_decay=-1.0), dict(target_grad_norm=math.nan),
-        dict(target_grad_norm=-1.0)])
+        dict(target_grad_norm=-1.0), dict(eta=math.inf),
+        dict(eta_decay=math.inf)])
     def test_rejects_bad_arguments(self, bad):
         kw = dict(eta=0.3, b=2, steps=4, problem=quadratic_problem(), seed=0)
         with pytest.raises(ValueError):
