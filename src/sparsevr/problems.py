@@ -17,16 +17,28 @@ the restricted one at full support, bit for bit; the fused oracle runs
 both readers on one pass.  The full-data oracles select with a slice, so
 they read the rows in place.
 
-The least-squares pass goes over the rows in tiles of at most TILE_FLOATS
-values: it writes each tile's residuals and adds the tile's share of
-A^T r to the d-length gradient sum while the tile is still in cache, so
-each row of A comes from memory once, and an index-array selection is
-gathered one tile at a time.  Every oracle runs that one pass, so the
-loss and the gradient of `loss_grad_batch` are those of `loss_batch` and
-`grad_batch` at any BLAS thread count.  The tiles are cut so that, on a
-one-thread BLAS, the residuals and so the losses are those of one product
+Least squares and the network go over the rows in the tiles of one rule,
+`_row_tiles`: at most TILE_FLOATS values per tile.  The least-squares
+pass writes each tile's residuals and adds the tile's share of A^T r to
+the d-length gradient sum while the tile is still in cache, so each row
+of A comes from memory once, and an index-array selection is gathered
+one tile at a time.  Every oracle runs that one pass, so the loss and the
+gradient of `loss_grad_batch` are those of `loss_batch` and `grad_batch`
+at any BLAS thread count.  The tiles are cut so that, on a one-thread
+BLAS, the residuals and so the losses are those of one product
 A[idx] @ x.  A gradient summed over several tiles differs in its last bits
 from one product over all the rows.
+
+The network's forward pass writes each tile's layer outputs into the
+per-layer arrays that backprop reads.  A loss needs none of them, so
+`MLPProblem` overrides the composed `loss_batch` with a pass that keeps
+one tile's activations and the per-row log-likelihoods: a full-data loss
+holds one tile, not the whole selection's hidden layers.  Both passes cut
+the same tiles and take one mean of the same per-row values, so
+`loss_grad_batch`'s loss is `loss_batch`'s, bit for bit.  OpenBLAS's
+per-row gemm result can depend on the number of rows, so a network loss
+or gradient over more than one tile may differ in its last bits from one
+product over all the rows; a selection of one tile is that product.
 
 Each `_grad` gathers `coords` from a d-length gradient or gradient sum
 (least squares and the network scale only the gathered entries), so a
@@ -76,6 +88,19 @@ def component_chunks(idx: np.ndarray, d: int):
     rows = min(4096, max(1, CHUNK_FLOATS // d))
     for lo in range(0, idx.size, rows):
         yield idx[lo:lo + rows]
+
+
+def _row_tiles(m: int, width: int):
+    """(lo, hi) row ranges of an m-row pass with `width` values per row.  A
+    tile holds at most TILE_FLOATS values, or four rows when fewer would
+    fit; its rows are a multiple of four, and a lone last row joins the tile
+    before it, so a pass of up to one tile's rows plus one is one tile."""
+    step = max(4, TILE_FLOATS // width // 4 * 4)
+    lo = 0
+    while lo < m:
+        hi = m if m - lo <= step + 1 else lo + step
+        yield lo, hi
+        lo = hi
 
 
 def _row_blocks(n: int, width: int):
@@ -215,22 +240,17 @@ class LeastSquaresProblem(FiniteSumProblem):
         """(x, idx, residuals A[idx] @ x - b[idx], gradient sum A[idx].T @ r).
 
         The pass goes over the rows in tiles (views of a slice, gathered
-        pieces of an index array), writes each tile's residuals and adds its
-        A_c.T @ r_c while the tile is still in cache.  A tile holds at most
-        TILE_FLOATS values, or four rows when fewer would fit; its rows are
-        a multiple of four, and a lone last row joins the tile before it.
+        pieces of an index array) of `_row_tiles`, writes each tile's
+        residuals and adds its A_c.T @ r_c while the tile is still in cache.
         OpenBLAS's gemv takes rows four at a time and numpy hands a one-row
         product to dot, so on a one-thread BLAS every residual has the bits
         of the one product A[idx] @ x.  A selection that fits in one tile is
         that product, and its sum is A[idx].T @ r."""
         b = self.b[idx]
         rows = self.A[idx] if isinstance(idx, slice) else None
-        step = max(4, TILE_FLOATS // self.d // 4 * 4)
-        m = len(b)
-        r, g = np.empty(m), np.zeros(self.d)   # an empty selection sums to 0
-        lo = 0
-        while lo < m:
-            hi = m if m - lo <= step + 1 else lo + step
+        r = np.empty(len(b))
+        g = np.zeros(self.d)   # an empty selection sums to 0
+        for lo, hi in _row_tiles(len(b), self.d):
             tile = self.A[idx[lo:hi]] if rows is None else rows[lo:hi]
             r_c = r[lo:hi]
             np.matmul(tile, x, out=r_c)
@@ -239,7 +259,6 @@ class LeastSquaresProblem(FiniteSumProblem):
                 g += tile.T @ r_c
             else:
                 np.matmul(tile.T, r_c, out=g)
-            lo = hi
             # Free a gathered tile before the next is gathered.  A pass then
             # holds one tile, under the trim threshold that glibc sets from
             # a freed tile, so the heap keeps the tile's pages for the next
@@ -342,6 +361,15 @@ class MLPProblem(FiniteSumProblem):
     hand on numpy, in place where it can be: each layer's weight and bias
     sums go straight into one d-length vector, from which `_grad` gathers
     the requested entries and scales only those.
+
+    The forward pass goes over the `_row_tiles` of the widest non-input
+    layer: 512 rows at 256 hidden units.  A gradient pass writes each
+    tile's layer outputs into the per-layer arrays that backprop reads; a
+    loss-only pass keeps one tile's activations and the per-row
+    log-likelihoods.  OpenBLAS's per-row gemm result can depend on the
+    number of rows, so a loss or gradient over more than one tile may
+    differ in its last bits from one product over all the rows.  Every
+    oracle cuts the same tiles, so the oracles agree bit for bit.
     """
 
     def __init__(self, layer_sizes, X: np.ndarray, labels: np.ndarray):
@@ -380,34 +408,62 @@ class MLPProblem(FiniteSumProblem):
             out.append((x[w_lo:w_hi].reshape(nin, nout), x[b_lo:b_hi]))
         return out
 
-    def _forward(self, params, xb):
-        """Activations per layer; the last entry holds the logits."""
-        acts = [xb]
-        z = xb
-        for li, (w, b) in enumerate(params):
-            z = z @ w
-            z += b
-            if li < len(params) - 1:
-                _sigmoid(z, out=z)
-            acts.append(z)
-        return acts
+    def _tiles(self, m):
+        """Row tiles of an m-row forward pass, sized by the widest
+        non-input layer."""
+        return _row_tiles(m, max(self.sizes[1:]))
 
-    @staticmethod
-    def _log_softmax(logits):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    def _forward(self, params, xb, outs):
+        """Forward pass over the rows xb: layer l's outputs are written into
+        outs[l], an array of len(xb) rows, and the last layer's logits are
+        turned into log-probabilities in place."""
+        z = xb
+        for li, ((w, b), out) in enumerate(zip(params, outs)):
+            np.matmul(z, w, out=out)
+            out += b
+            if li < len(params) - 1:
+                _sigmoid(out, out=out)
+            z = out
+        z -= z.max(axis=1, keepdims=True)
+        z -= np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
     def _pass(self, idx, x):
         """(labels, params, activations, log-probabilities) of the samples
-        in idx: the one forward pass that the loss and the backprop read."""
+        in idx: the one forward pass that the loss and the backprop read,
+        each tile written into one array per layer.  The activations are
+        the inputs and the hidden layers' outputs."""
         params = self._unpack(x)
-        acts = self._forward(params, self.X[idx])
-        return self.labels[idx], params, acts, self._log_softmax(acts[-1])
+        xb = self.X[idx]
+        m = len(xb)
+        outs = [np.empty((m, nout)) for *_, nout in self._layout]
+        for lo, hi in self._tiles(m):
+            self._forward(params, xb[lo:hi], [a[lo:hi] for a in outs])
+        return self.labels[idx], params, [xb, *outs[:-1]], outs[-1]
 
     def _loss(self, state):
         """Mean cross-entropy."""
         labels, _, _, logp = state
         return float(-np.mean(logp[np.arange(len(logp)), labels]))
+
+    def loss_batch(self, idx, x: np.ndarray) -> float:
+        """Mean cross-entropy over idx: `_loss` of `_pass` bit for bit (the
+        same tiles, per-row values and mean), from a pass that keeps one
+        tile's activations and the per-row log-likelihoods.  An index-array
+        selection is gathered one tile at a time."""
+        params = self._unpack(as_vector(x, self.d))
+        labels = self.labels[idx]
+        rows = self.X[idx] if isinstance(idx, slice) else None
+        tiles = list(self._tiles(len(labels)))
+        size = max((hi - lo for lo, hi in tiles), default=0)
+        bufs = [np.empty((size, nout)) for *_, nout in self._layout]
+        logl = np.empty(len(labels))
+        for lo, hi in tiles:
+            xb = self.X[idx[lo:hi]] if rows is None else rows[lo:hi]
+            outs = [buf[:hi - lo] for buf in bufs]
+            self._forward(params, xb, outs)
+            logl[lo:hi] = outs[-1][np.arange(hi - lo), labels[lo:hi]]
+            del xb   # free a gathered tile before the next is gathered
+        return float(-np.mean(logl))
 
     @staticmethod
     def _deltas(state):
@@ -420,10 +476,12 @@ class MLPProblem(FiniteSumProblem):
         for li in range(len(params) - 2, -1, -1):
             w_next = params[li + 1][0]
             z = acts[li + 1]
-            # (delta @ W.T) * z * (1 - z), left to right, in place
+            # (delta @ W.T) * z * (1 - z), left to right, in place; 1 - z
+            # is taken one row block at a time
             t = deltas[li + 1] @ w_next.T
             t *= z
-            t *= 1.0 - z
+            for s in _row_blocks(*t.shape):
+                t[s] *= 1.0 - z[s]
             deltas[li] = t
         return deltas
 
@@ -443,13 +501,17 @@ class MLPProblem(FiniteSumProblem):
         return out
 
     def _components(self, state):
+        """Row i holds a_i (x) delta_i per layer, written in place: the
+        weight and bias ranges cover all d, so `out` starts empty."""
         acts, deltas = state[2], self._deltas(state)
         rows = len(acts[0])
-        out = np.zeros((rows, self.d))
-        for li, (w_lo, w_hi, b_lo, b_hi, nin, nout) in enumerate(self._layout):
-            per = np.einsum("bi,bj->bij", acts[li], deltas[li])
-            out[:, w_lo:w_hi] = per.reshape(rows, nin * nout)
-            out[:, b_lo:b_hi] = deltas[li]
+        out = np.empty((rows, self.d))
+        for (w_lo, w_hi, b_lo, b_hi, nin, nout), a, delta in zip(
+                self._layout, acts, deltas):
+            per = out[:, w_lo:w_hi].reshape(rows, nin, nout)
+            assert np.shares_memory(per, out)   # a view, not a copy
+            np.multiply(a[:, :, None], delta[:, None, :], out=per)
+            out[:, b_lo:b_hi] = delta
         return out
 
 

@@ -561,6 +561,129 @@ class TestLeastSquaresTiles:
             assert p.grad_components(idx, x).tobytes() == want.tobytes()
 
 
+class TestRowTiles:
+    @pytest.mark.parametrize("width", [1, 7, 256, 1_000, 4_096, 131_075])
+    def test_every_row_once_in_tiles_of_four_rows(self, width):
+        step = max(4, problems.TILE_FLOATS // width // 4 * 4)
+        for m in sorted({0, 1, 2, 3, 4, 5, step - 1, step, step + 1,
+                         step + 2, 2 * step + 1, 3 * step + 5}):
+            tiles = list(problems._row_tiles(m, width))
+            assert [i for lo, hi in tiles for i in range(lo, hi)] == list(range(m))
+            for lo, hi in tiles[:-1]:
+                assert hi - lo == step and step % 4 == 0
+                assert step * width <= problems.TILE_FLOATS or step == 4
+            if tiles:
+                last = tiles[-1][1] - tiles[-1][0]
+                assert last <= step + 1
+                assert last > 1 or m == 1   # no lone last row
+
+
+class TestMLPTiles:
+    """The network's forward pass goes over row tiles.  At mlp-wide's shape
+    (2,000 x 784 inputs, 256 hidden units) a tile is 512 rows, so the
+    full-data pass is four tiles; at [6, 4096, 3] a tile is 32 rows, so 203
+    rows are seven tiles, the last of 11 rows."""
+
+    MIB = 2 ** 20
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        xs, labs = gen_class_blobs(2_000, 784, 10, seed=70, separation=20.0)
+        xs /= 28.0
+        p = MLPProblem([784, 256, 10], xs, labs)
+        return p, 0.05 * np.random.default_rng(71).standard_normal(p.d)
+
+    @staticmethod
+    def small():
+        xs, labs = gen_class_blobs(203, 6, 3, seed=72)
+        return MLPProblem([6, 4096, 3], xs, labs)
+
+    def test_the_shapes_span_several_tiles(self, wide):
+        assert [hi - lo for lo, hi in wide[0]._tiles(2_000)] == [512] * 3 + [464]
+        assert [hi - lo for lo, hi in wide[0]._tiles(513)] == [513]
+        tiles = [hi - lo for lo, hi in self.small()._tiles(203)]
+        assert tiles == [32] * 6 + [11]
+
+    def test_a_loss_pass_holds_one_tile(self, wide):
+        # The untiled pass held the hidden activations and the sigmoid's
+        # denominator, each 2,000 x 256: 8.37 MiB.
+        p, x = wide
+        peak, _ = traced_peak(lambda: p.full_loss(x))
+        assert peak <= 4 * self.MIB
+        # an index array is gathered one 512 x 784 tile at a time
+        idx = np.random.default_rng(73).permutation(p.n)
+        peak, _ = traced_peak(lambda: p.loss_batch(idx, x))
+        assert peak <= 4 * self.MIB + 512 * 784 * 8
+
+    def test_a_gradient_pass_holds_its_layers_and_one_tile(self, wide):
+        # The pass writes each tile into the per-layer arrays that backprop
+        # reads, so it holds them plus one tile's sigmoid temporaries (1.2
+        # MiB); tiles concatenated afterwards would hold the layers twice,
+        # and the untiled pass peaked at 8.37 MiB.
+        p, x = wide
+        idx = np.sort(np.random.default_rng(74).choice(p.n, 1_100,
+                                                       replace=False))
+        for sel, held_inputs in ((slice(None), False), (idx, True)):
+            peak, (_, _, acts, logp) = traced_peak(lambda: p._state(sel, x))
+            held = sum(a.nbytes for a in acts[0 if held_inputs else 1:])
+            assert peak <= held + logp.nbytes + 1.5 * self.MIB
+        # The whole oracles, against the untiled pass's 12.18 MiB (full
+        # data) and 13.29 MiB (1,100 gathered rows).  Backprop applies its
+        # 1 - z factor one row block at a time; a full-size 1 - z
+        # temporary reads 12.03 and 13.20 MiB.
+        peak, _ = traced_peak(lambda: p.loss_grad_batch(slice(None), x))
+        assert peak <= 10 * self.MIB
+        peak, _ = traced_peak(lambda: p.grad_batch(idx, x))
+        assert peak <= 12.75 * self.MIB
+
+    def test_components_are_the_outer_products_written_in_place(self, wide):
+        # The einsum form built a rows x d temporary beside its zeros(d)
+        # output: 62.3 MiB at a 20-row chunk.
+        p, x = wide
+        idx = np.arange(20, 40)
+        peak, comps = traced_peak(lambda: p.grad_components(idx, x))
+        assert peak <= comps.nbytes + self.MIB
+        state = p._state(idx, x)
+        acts, deltas = state[2], p._deltas(state)
+        want = np.zeros((20, p.d))
+        for (w_lo, w_hi, b_lo, b_hi, _, _), a, delta in zip(p._layout, acts,
+                                                            deltas):
+            want[:, w_lo:w_hi] = np.einsum("bi,bj->bij", a, delta).reshape(20, -1)
+            want[:, b_lo:b_hi] = delta
+        assert comps.tobytes() == want.tobytes()
+
+    def selections(self, rng, n):
+        return [slice(None), slice(3, None, 2),
+                np.sort(rng.choice(n, size=150, replace=False)),
+                rng.integers(0, n, size=180),   # unsorted, with repeats
+                list(range(0, n, 3))]
+
+    def test_multi_tile_oracles_agree_bit_for_bit(self):
+        p, rng = self.small(), np.random.default_rng(75)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            p.loss_batch(slice(None), np.zeros(p.d + 1))
+        for trial in range(3):
+            x = (0.5 + trial) * rng.standard_normal(p.d) / 8.0
+            assert p.full_loss(x) == p.loss_batch(np.arange(p.n), x)
+            assert (p.full_grad(x).tobytes()
+                    == p.grad_batch(np.arange(p.n), x).tobytes())
+            for idx in self.selections(rng, p.n):
+                loss = p.loss_batch(idx, x)
+                dense = p.grad_batch(idx, x)
+                fused_loss, fused_grad = p.loss_grad_batch(idx, x)
+                assert fused_loss == loss
+                assert fused_grad.tobytes() == dense.tobytes()
+                for coords in (block_order_coords(p, rng, per_block=40),
+                               rng.permutation(p.d)[:500]):
+                    assert (p.grad_batch_restricted(idx, x, coords).tobytes()
+                            == dense[coords].tobytes())
+                # the tiles change at most the last bits of one product
+                want_loss, want_grad = per_layer_mlp(p, idx, x)
+                assert loss == pytest.approx(want_loss, rel=1e-13)
+                assert (np.max(np.abs(dense - want_grad))
+                        <= 1e-12 * np.max(np.abs(want_grad)))
+
+
 class TestRejectsNonFiniteData:
     def test_least_squares(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
