@@ -16,10 +16,10 @@ CSV keyed by queries-over-n bins is rebuilt from the per-run files
 afterwards.  Bad input is one `config error:` line on stderr, exit status
 2.  Set SPARSE_VR_LOG=DEBUG|INFO|... for logging verbosity.
 
-Least-squares losses, and so the CSV loss columns, can differ in their
-last bits between BLAS thread counts.  The package does not pin threads;
-set OPENBLAS_NUM_THREADS=1 for CSVs that are bit-identical across
-machines.
+Least-squares and logistic losses, and so the CSV loss columns, can
+differ in their last bits between BLAS thread counts.  The package does
+not pin threads; set OPENBLAS_NUM_THREADS=1 for CSVs that are
+bit-identical across machines.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ class ExperimentSpec:
             if alg == "sgd":
                 steps = v["opt.steps"]
                 args = dict(
-                    eta=v["opt.eta"], b=min(v["opt.b"], problem.n),
+                    eta=v["opt.eta"], b=v["opt.b"],
                     steps=v["opt.m"] * v["opt.T"] if steps is None else steps,
                     problem=problem, x0=self.x0, eta_decay=v["opt.eta_decay"],
                     record_grad_norm=v["run.record_grad_norm"],
@@ -546,10 +546,8 @@ def generate_dataset(kind: str, params: dict, seed: int, path: str) -> None:
         prob_mod.save_ratings_dataset(path, problem.rows, problem.cols,
                                       problem.vals, problem.n_rows,
                                       problem.n_cols)
-    elif isinstance(problem, LogisticProblem):
-        prob_mod.save_labeled_dataset(path, problem.y, problem.A)
     else:
-        prob_mod.save_labeled_dataset(path, problem.b, problem.A)
+        prob_mod.save_labeled_dataset(path, problem.targets, problem.A)
 
 
 # ---------------------------------------------------------------------------

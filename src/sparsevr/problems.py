@@ -3,8 +3,8 @@
 Each problem implements four private hooks over a selection `idx` of its
 components (an index array or a slice):
 
-- `_pass(idx, x)`: the one forward pass (the residual, the margins, the
-  network's forward pass, or the factor-row gather), returned as a state;
+- `_pass(idx, x)`: the one forward pass (a linear model's products a_i.x,
+  the network's forward pass, or the factor-row gather), returned as a state;
 - `_loss(state)`: the mean loss;
 - `_grad(state, coords)`: the mean gradient at `coords`, an index array or
   `slice(None)` for all d, in the order of `coords`;
@@ -17,15 +17,17 @@ the restricted one at full support, bit for bit; the fused oracle runs
 both readers on one pass.  The full-data oracles select with a slice, so
 they read the rows in place.
 
-Least squares and the network go over the rows in the tiles of one rule,
-`_row_tiles`: at most TILE_FLOATS values per tile.  The least-squares
-pass writes each tile's residuals and adds the tile's share of A^T r to
-the d-length gradient sum while the tile is still in cache, so each row
-of A comes from memory once, and an index-array selection is gathered
-one tile at a time.  Every oracle runs that one pass, so the loss and the
+Least squares and logistic regression are one linear model,
+phi(a_i.x, t_i) plus a ridge, and share one pass.  It and the network's go
+over the rows in the tiles of one rule, `_row_tiles`: at most TILE_FLOATS
+values per tile.  The linear pass writes each tile's products a_i.x and
+their derivatives w_i in a_i.x, and adds the tile's share of A^T w to the
+d-length gradient sum while the tile is still in cache, so each row of A
+comes from memory once, and an index-array selection is gathered one
+tile at a time.  Every oracle runs that one pass, so the loss and the
 gradient of `loss_grad_batch` are those of `loss_batch` and `grad_batch`
 at any BLAS thread count.  The tiles are cut so that, on a one-thread
-BLAS, the residuals and so the losses are those of one product
+BLAS, the products and so the losses are those of one product
 A[idx] @ x.  A gradient summed over several tiles differs in its last bits
 from one product over all the rows.
 
@@ -41,7 +43,7 @@ or gradient over more than one tile may differ in its last bits from one
 product over all the rows; a selection of one tile is that product.
 
 Each `_grad` gathers `coords` from a d-length gradient or gradient sum
-(least squares and the network scale only the gathered entries), so a
+(the linear models and the network scale only the gathered entries), so a
 restricted gradient's k/d cost is accounted by the optimizer's query
 meter; in wall-clock it still runs the dense kernel.
 
@@ -72,9 +74,9 @@ from .vecops import as_vector
 # values, 32 MiB.
 CHUNK_FLOATS = 2 ** 22
 
-# Floats per row tile of a least-squares pass: 2**17 float64
-# values, 1 MiB (128 rows at d = 1,000), so a tile read for its residuals
-# is still in L2 when the gradient sum reads it again.  The row blocks of
+# Floats per row tile of a linear-model pass: 2**17 float64 values, 1 MiB
+# (128 rows at d = 1,000), so a tile read for its products a_i.x is still
+# in L2 when the gradient sum reads it again.  The row blocks of
 # the generators, the finiteness check and the smoothness hints hold at
 # most this many values too.
 TILE_FLOATS = 2 ** 17
@@ -136,13 +138,6 @@ def _require_finite(*arrays) -> None:
             raise ValueError("data contains NaN or Inf")
 
 
-def _max_row_norm2(a: np.ndarray) -> float:
-    """max_i ||a_i||^2, each row summed as np.sum(a * a, axis=1) sums it,
-    one row block at a time."""
-    return max(float(np.max(np.sum(a[s] * a[s], axis=1)))
-               for s in _row_blocks(*a.shape))
-
-
 class FiniteSumProblem(abc.ABC):
     """Oracle interface.  Subclasses implement the four hooks of the module
     docstring; every public oracle is composed from them here, each from
@@ -154,8 +149,8 @@ class FiniteSumProblem(abc.ABC):
     @abc.abstractmethod
     def _pass(self, idx, x: np.ndarray):
         """The forward pass over the components in idx at a checked x.  A
-        problem may fuse part of the gradient into it (least squares sums
-        A^T r tile by tile), so that `_grad` only gathers and scales."""
+        problem may fuse part of the gradient into it (the linear models sum
+        A^T w tile by tile), so that `_grad` only gathers and scales."""
 
     @abc.abstractmethod
     def _loss(self, state) -> float:
@@ -220,73 +215,102 @@ class FiniteSumProblem(abc.ABC):
         return None
 
 
-class LeastSquaresProblem(FiniteSumProblem):
-    """f_i(x) = (a_i.x - b_i)^2 / 2 + ridge/2 ||x||^2."""
+class _LinearModel(FiniteSumProblem):
+    """f_i(x) = phi(a_i.x, t_i) + ridge/2 ||x||^2 over the rows a_i of A and
+    the per-row targets t_i.  A subclass gives `_mean_phi(z, t)`, the mean
+    of phi over a pass's products z = A[idx] @ x; `_dphi(z, t)`, phi's
+    derivative in z per row; `_check_targets`; and CURVATURE, a bound on
+    that derivative's slope, from which `smoothness_hint` follows."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, ridge: float = 0.0):
+    CURVATURE = 1.0
+
+    def __init__(self, A: np.ndarray, targets: np.ndarray, ridge: float = 0.0):
         A = np.ascontiguousarray(A, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        targets = np.ascontiguousarray(targets, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError("A must be a nonempty 2-D matrix")
-        if b.shape != (A.shape[0],):
-            raise ValueError("b must have one entry per row of A")
+        if targets.shape != (A.shape[0],):
+            raise ValueError("need one target per row of A")
+        self._check_targets(targets)
         if ridge < 0:
             raise ValueError("ridge must be nonnegative")
-        _require_finite(A, b)
-        self.A, self.b, self.ridge = A, b, float(ridge)
+        _require_finite(A, targets)
+        self.A, self.targets, self.ridge = A, targets, float(ridge)
         self.n, self.d = A.shape
 
+    def _check_targets(self, t) -> None:
+        """ValueError if a target is outside phi's domain."""
+
     def _pass(self, idx, x):
-        """(x, idx, residuals A[idx] @ x - b[idx], gradient sum A[idx].T @ r).
+        """(x, idx, products z = A[idx] @ x, targets t, derivatives w,
+        gradient sum A[idx].T @ w).
 
         The pass goes over the rows in tiles (views of a slice, gathered
         pieces of an index array) of `_row_tiles`, writes each tile's
-        residuals and adds its A_c.T @ r_c while the tile is still in cache.
-        OpenBLAS's gemv takes rows four at a time and numpy hands a one-row
-        product to dot, so on a one-thread BLAS every residual has the bits
-        of the one product A[idx] @ x.  A selection that fits in one tile is
-        that product, and its sum is A[idx].T @ r."""
-        b = self.b[idx]
+        products and derivatives and adds its A_c.T @ w_c while the tile is
+        still in cache.  OpenBLAS's gemv takes rows four at a time and numpy
+        hands a one-row product to dot, so on a one-thread BLAS every
+        product has the bits of the one product A[idx] @ x.  A selection
+        that fits in one tile is that product, and its sum is A[idx].T @ w."""
+        t = self.targets[idx]
         rows = self.A[idx] if isinstance(idx, slice) else None
-        r = np.empty(len(b))
+        z, w = np.empty(len(t)), np.empty(len(t))
         g = np.zeros(self.d)   # an empty selection sums to 0
-        for lo, hi in _row_tiles(len(b), self.d):
+        for lo, hi in _row_tiles(len(t), self.d):
             tile = self.A[idx[lo:hi]] if rows is None else rows[lo:hi]
-            r_c = r[lo:hi]
-            np.matmul(tile, x, out=r_c)
-            r_c -= b[lo:hi]
+            z_c, w_c = z[lo:hi], w[lo:hi]
+            np.matmul(tile, x, out=z_c)
+            w_c[...] = self._dphi(z_c, t[lo:hi])
             if lo:
-                g += tile.T @ r_c
+                g += tile.T @ w_c
             else:
-                np.matmul(tile.T, r_c, out=g)
+                np.matmul(tile.T, w_c, out=g)
             # Free a gathered tile before the next is gathered.  A pass then
             # holds one tile, under the trim threshold that glibc sets from
             # a freed tile, so the heap keeps the tile's pages for the next
             # pass instead of returning them and faulting them back in.
             del tile
-        return x, idx, r, g
+        return x, idx, z, t, w, g
 
     def _loss(self, state):
-        x, _, r, _ = state
-        return 0.5 * float(r @ r) / len(r) + 0.5 * self.ridge * float(x @ x)
+        x, _, z, t, _, _ = state
+        return self._mean_phi(z, t) + 0.5 * self.ridge * float(x @ x)
 
     def _grad(self, state, coords):
         """The gathered entries of the sum, scaled: per entry the bits of
         (sum / m + ridge * x)[coords]."""
-        x, _, r, g = state
-        return g[coords] / len(r) + self.ridge * x[coords]
+        x, _, z, _, _, g = state
+        return g[coords] / len(z) + self.ridge * x[coords]
 
     def _components(self, state):
-        x, idx, r, _ = state
-        return self.A[idx] * r[:, None] + self.ridge * x[None, :]
+        x, idx, _, _, w, _ = state
+        return self.A[idx] * w[:, None] + self.ridge * x[None, :]
 
     def smoothness_hint(self):
-        return _max_row_norm2(self.A) + self.ridge
+        """CURVATURE * max_i ||a_i||^2 + ridge, each row summed as
+        np.sum(a * a, axis=1) sums it, one row block at a time."""
+        a = self.A
+        top = max(float(np.max(np.sum(a[s] * a[s], axis=1)))
+                  for s in _row_blocks(*a.shape))
+        return self.CURVATURE * top + self.ridge
+
+
+class LeastSquaresProblem(_LinearModel):
+    """f_i(x) = (a_i.x - b_i)^2 / 2 + ridge/2 ||x||^2; the targets are b."""
+
+    @staticmethod
+    def _mean_phi(z, t):
+        r = z - t
+        return 0.5 * float(r @ r) / len(r)
+
+    @staticmethod
+    def _dphi(z, t):
+        return z - t
 
     def reference_minimum(self):
         """Normal-equation solve; falls back to lstsq for singular systems."""
         h = self.A.T @ self.A / self.n + self.ridge * np.eye(self.d)
-        rhs = self.A.T @ self.b / self.n
+        rhs = self.A.T @ self.targets / self.n
         try:
             x_star = np.linalg.solve(h, rhs)
         except np.linalg.LinAlgError:
@@ -294,49 +318,23 @@ class LeastSquaresProblem(FiniteSumProblem):
         return x_star, self.full_loss(x_star)
 
 
-class LogisticProblem(FiniteSumProblem):
-    """f_i(x) = log(1 + exp(-y_i a_i.x)) + ridge/2 ||x||^2, labels in {-1, +1}."""
+class LogisticProblem(_LinearModel):
+    """f_i(x) = log(1 + exp(-y_i a_i.x)) + ridge/2 ||x||^2; the targets are
+    the labels y, each -1 or +1."""
 
-    def __init__(self, A: np.ndarray, y: np.ndarray, ridge: float = 0.0):
-        A = np.ascontiguousarray(A, dtype=np.float64)
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-            raise ValueError("A must be a nonempty 2-D matrix")
-        if y.shape != (A.shape[0],):
-            raise ValueError("y must have one label per row of A")
+    CURVATURE = 0.25
+
+    def _check_targets(self, y):
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if ridge < 0:
-            raise ValueError("ridge must be nonnegative")
-        _require_finite(A)
-        self.A, self.y, self.ridge = A, y, float(ridge)
-        self.n, self.d = A.shape
-
-    def _pass(self, idx, x):
-        """x, the rows and labels in idx and their margins y_i a_i.x."""
-        sub, y = self.A[idx], self.y[idx]
-        return x, sub, y, y * (sub @ x)
-
-    def _loss(self, state):
-        x, _, _, z = state
-        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.ridge * float(x @ x)
 
     @staticmethod
-    def _weights(y, z):
-        """d loss_i / d (a_i.x) for labels y and margins z."""
-        return -y * _sigmoid(-z)
+    def _mean_phi(z, y):
+        return float(np.mean(np.logaddexp(0.0, -(y * z))))
 
-    def _grad(self, state, coords):
-        x, sub, y, z = state
-        w = self._weights(y, z)
-        return (sub.T @ w / len(w) + self.ridge * x)[coords]
-
-    def _components(self, state):
-        x, sub, y, z = state
-        return sub * self._weights(y, z)[:, None] + self.ridge * x[None, :]
-
-    def smoothness_hint(self):
-        return 0.25 * _max_row_norm2(self.A) + self.ridge
+    @staticmethod
+    def _dphi(z, y):
+        return -y * _sigmoid(-(y * z))
 
     def reference_minimum(self):
         """Full-gradient descent at step 1/L until the gradient norm is at

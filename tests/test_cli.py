@@ -315,21 +315,23 @@ class TestMainEntrypoint:
         "opt.eta_decay = nan", "opt.eta_decay = 0", "opt.eta_decay = -1",
         "opt.steps = 0", "opt.steps = -3",
         "run.target_grad_norm = nan", "run.target_grad_norm = -1",
-        "opt.eta = inf", "opt.eta_end = inf", "opt.eta_decay = inf"])
+        "opt.eta = inf", "opt.eta_end = inf", "opt.eta_decay = inf",
+        # SGD alone at b > n: rejected, not run at b = n
+        "opt.algorithm = sgd\nopt.b = 121"])
     def test_run_rejects_bad_sgd_or_target_value_before_creating_output(
             self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.txt"
         out = tmp_path / "never"
-        key = line.split(" = ")[0]
-        # the line takes the place of SMALL_RUN's own one for its key
+        keys = [ln.split(" = ")[0] for ln in line.splitlines()]
+        # the lines take the place of SMALL_RUN's own ones for their keys
         kept = [ln for ln in SMALL_RUN.replace(
                     "sparse-spiderboost,spiderboost",
                     "sparse-spiderboost,sgd").splitlines()
-                if ln.split(" = ")[0] != key]
+                if ln.split(" = ")[0] not in keys]
         cfg.write_text("\n".join(kept + [line]) + "\n")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert key.split(".")[1] in err and "duplicate" not in err
+        assert keys[-1].split(".")[1] in err and "duplicate" not in err
         assert not out.exists()
 
     def test_run_rejects_block_allocation_before_creating_output(

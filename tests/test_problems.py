@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -440,19 +443,23 @@ class TestFusedOracle:
             assert np.array_equal(grad, problem.grad_batch(idx, x))
 
 
-class TestLeastSquaresTiles:
-    """Every least-squares pass goes over its rows in tiles.  With
+class LinearModelTiles:
+    """Every pass of a linear model goes over its rows in tiles.  With
     TILE_FLOATS cut to a few rows, every selection below spans several
     tiles; at four-row tiles the selections of 37 and 29 rows end in a lone
     row that joins the tile before it.  The products are small enough for
-    the BLAS to run them on one thread."""
+    the BLAS to run them on one thread.  The residuals are phi's
+    derivatives w_i in a_i.x, which the gradient sum and the components
+    read.  A subclass names the model: `make(a, b, ridge)` builds it on the
+    least-squares data (a, b), and `untiled` gives the products, residuals,
+    loss and gradient of one product over the rows."""
 
     N, D, RIDGE = 37, 7, 0.05
 
     @classmethod
     def problem(cls):
         a, b, _ = gen_gaussian_ls(cls.N, cls.D, seed=60)
-        return LeastSquaresProblem(a, b, ridge=cls.RIDGE)
+        return cls.make(a, b, ridge=cls.RIDGE)
 
     def selections(self, rng):
         return [slice(None), slice(2, None, 3),
@@ -460,18 +467,11 @@ class TestLeastSquaresTiles:
                 rng.integers(0, self.N, size=29),   # unsorted, with repeats
                 list(range(0, self.N, 2))]
 
-    def untiled(self, p, idx, x):
-        """The residuals, loss and gradient of one product over the rows."""
-        sub = p.A[idx]
-        r = sub @ x - p.b[idx]
-        loss = 0.5 * float(r @ r) / len(r) + 0.5 * self.RIDGE * float(x @ x)
-        return r, loss, sub.T @ r / len(r) + self.RIDGE * x
-
     def test_a_gathered_pass_holds_one_tile(self):
         # 1,000 rows at d = 1,000 are eight gathered tiles of up to
         # 1,024,000 bytes; the pass frees each before gathering the next.
         a, b, _ = gen_gaussian_ls(1_200, 1_000, seed=62)
-        p = LeastSquaresProblem(a, b)
+        p = self.make(a, b)
         rng = np.random.default_rng(63)
         idx = np.sort(rng.choice(p.n, size=1_000, replace=False))
         x = rng.standard_normal(p.d)
@@ -485,8 +485,10 @@ class TestLeastSquaresTiles:
         for _ in range(10):
             x = rng.standard_normal(self.D)
             for idx in self.selections(rng):
-                r, loss, grad = self.untiled(p, idx, x)
-                assert p._state(idx, x)[2].tobytes() == r.tobytes()
+                z, w, loss, grad = self.untiled(p, idx, x)
+                _, _, tiled_z, _, tiled_w, _ = p._state(idx, x)
+                assert tiled_z.tobytes() == z.tobytes()
+                assert tiled_w.tobytes() == w.tobytes()
                 fused_loss, fused_grad = p.loss_grad_batch(idx, x)
                 assert fused_loss == loss == p.loss_batch(idx, x)
                 err = np.max(np.abs(fused_grad - grad))
@@ -508,7 +510,7 @@ class TestLeastSquaresTiles:
                 assert (p.grad_batch_restricted(idx, x, coords).tobytes()
                         == dense[coords].tobytes())
                 summed_in_tiles |= not np.array_equal(dense,
-                                                      self.untiled(p, idx, x)[2])
+                                                      self.untiled(p, idx, x)[3])
         # the sums really were taken tile by tile: some differ in low bits
         assert summed_in_tiles
 
@@ -518,7 +520,7 @@ class TestLeastSquaresTiles:
         for size in (1, 2, 5, 8, 9):   # 9 rows: 8 plus a lone last row
             x = rng.standard_normal(self.D)
             idx = rng.choice(self.N, size=size, replace=False)
-            _, loss, grad = self.untiled(p, idx, x)
+            _, _, loss, grad = self.untiled(p, idx, x)
             assert p.loss_grad_batch(idx, x)[0] == loss
             assert p.grad_batch(idx, x).tobytes() == grad.tobytes()
             coords = rng.permutation(self.D)[:3]
@@ -528,11 +530,10 @@ class TestLeastSquaresTiles:
     def test_an_inner_batch_of_the_benchmark_shape_is_one_tile(self):
         # 100 rows at d = 1,000, as in the ls-target workload's inner steps
         a, b, _ = gen_planted_ls(120, 1000, s_active=10, seed=64, tau=0.005)
-        p = LeastSquaresProblem(a, b)
+        p = self.make(a, b)
         rng = np.random.default_rng(65)
         x, idx = rng.standard_normal(1000), rng.choice(120, size=100, replace=False)
-        sub = a[idx]
-        want = sub.T @ (sub @ x - b[idx]) / 100 + 0.0 * x
+        want = self.untiled(p, idx, x)[3]
         assert p.grad_batch(idx, x).tobytes() == want.tobytes()
 
     def test_loss_oracles_agree_above_the_blas_threading_threshold(self):
@@ -541,7 +542,7 @@ class TestLeastSquaresTiles:
         # BLAS to split; the loss-only and the fused oracle run the same
         # products, so they agree at any thread count.
         a, b, _ = gen_gaussian_ls(1099, 1000, seed=67)
-        p = LeastSquaresProblem(a, b, ridge=self.RIDGE)
+        p = self.make(a, b, ridge=self.RIDGE)
         rng = np.random.default_rng(68)
         for _ in range(3):
             x = rng.standard_normal(1000)
@@ -556,9 +557,43 @@ class TestLeastSquaresTiles:
         p, rng = self.problem(), np.random.default_rng(66)
         x = rng.standard_normal(self.D)
         for idx in self.selections(rng):
-            r = self.untiled(p, idx, x)[0]
-            want = p.A[idx] * r[:, None] + self.RIDGE * x[None, :]
+            w = self.untiled(p, idx, x)[1]
+            want = p.A[idx] * w[:, None] + self.RIDGE * x[None, :]
             assert p.grad_components(idx, x).tobytes() == want.tobytes()
+
+
+class TestLeastSquaresTiles(LinearModelTiles):
+    @staticmethod
+    def make(a, b, ridge=0.0):
+        return LeastSquaresProblem(a, b, ridge)
+
+    @staticmethod
+    def untiled(p, idx, x):
+        sub = p.A[idx]
+        z = sub @ x
+        r = z - p.targets[idx]
+        loss = 0.5 * float(r @ r) / len(r) + 0.5 * p.ridge * float(x @ x)
+        return z, r, loss, sub.T @ r / len(r) + p.ridge * x
+
+
+class TestLogisticTiles(LinearModelTiles):
+    @staticmethod
+    def make(a, b, ridge=0.0):
+        """Labels: the signs of the least-squares targets."""
+        return LogisticProblem(a, np.where(b >= 0, 1.0, -1.0), ridge)
+
+    @staticmethod
+    def untiled(p, idx, x):
+        """The oracles as logistic regression ran them before it shared the
+        tiled pass: the margins y * (A[idx] @ x), their weights and one
+        product A[idx].T @ w."""
+        sub, y = p.A[idx], p.targets[idx]
+        z = sub @ x
+        margins = y * z
+        w = -y * _sigmoid(-margins)
+        loss = (float(np.mean(np.logaddexp(0.0, -margins)))
+                + 0.5 * p.ridge * float(x @ x))
+        return z, w, loss, sub.T @ w / len(w) + p.ridge * x
 
 
 class TestRowTiles:
@@ -881,6 +916,24 @@ def output_digest(arrays):
     return h.hexdigest()
 
 
+def build_and_measure(name):
+    """(output digest, traced peak, output bytes) of one generator case."""
+    gen, kw, _ = TestGeneratorsBuildInPlace.CASES[name]
+    peak, out = traced_peak(lambda: gen(**kw))
+    return output_digest(out), peak, sum(np.asarray(a).nbytes for a in out)
+
+
+def build_and_measure_at_two_blas_threads(name):
+    """`build_and_measure(name)` in a child process whose OpenBLAS runs two
+    threads, whatever this process runs."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(__file__), *sys.path]))
+    code = f"import test_problems as t; print(*t.build_and_measure({name!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return out[0], int(out[1]), int(out[2])
+
+
 class TestGeneratorsBuildInPlace:
     """Every generator's output keeps its bytes, and its traced peak is the
     output plus at most four TILE_FLOATS blocks: it scales and shifts its
@@ -945,10 +998,17 @@ class TestGeneratorsBuildInPlace:
         rows = problems.TILE_FLOATS // 1_000
         assert 300 % rows and 300 > rows
 
+    # These two digests were taken at two BLAS threads: a @ x_true and the
+    # direction's norm over 131,075 values are split between the threads,
+    # and one thread rounds them differently.  So these cases are built at
+    # two threads in a child process, and the test gives one verdict at any
+    # thread count.
+    TWO_THREADS = ("gaussian-wide", "logistic-wide")
+
     @pytest.mark.parametrize("name", list(CASES))
     def test_bytes_and_traced_peak(self, name):
-        gen, kw, want = self.CASES[name]
-        peak, out = traced_peak(lambda: gen(**kw))
-        assert output_digest(out) == want
-        returned = sum(np.asarray(a).nbytes for a in out)
+        measure = (build_and_measure_at_two_blas_threads
+                   if name in self.TWO_THREADS else build_and_measure)
+        digest, peak, returned = measure(name)
+        assert digest == self.CASES[name][2]
         assert peak <= returned + 4 * problems.TILE_FLOATS * 8
