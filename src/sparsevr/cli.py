@@ -16,10 +16,11 @@ CSV keyed by queries-over-n bins is rebuilt from the per-run files
 afterwards.  Bad input is one `config error:` line on stderr, exit status
 2.  Set SPARSE_VR_LOG=DEBUG|INFO|... for logging verbosity.
 
-Least-squares and logistic losses, and so the CSV loss columns, can
-differ in their last bits between BLAS thread counts.  The package does
-not pin threads; set OPENBLAS_NUM_THREADS=1 for CSVs that are
-bit-identical across machines.
+Least-squares and logistic losses, and network gradients at wide shapes
+(784-256-10, not the mlp-blobs preset's 12-16-3), can differ in their last
+bits between BLAS thread counts, and a run's later rows inherit any such
+difference through its iterates.  The package does not pin threads; set
+OPENBLAS_NUM_THREADS=1 for CSVs that are bit-identical across machines.
 """
 
 from __future__ import annotations

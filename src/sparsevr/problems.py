@@ -3,8 +3,9 @@
 Each problem implements four private hooks over a selection `idx` of its
 components (an index array or a slice):
 
-- `_pass(idx, x)`: the one forward pass (a linear model's products a_i.x,
-  the network's forward pass, or the factor-row gather), returned as a state;
+- `_pass(idx, x, grad)`: the one forward pass (a linear model's products
+  a_i.x, the network's forward pass, or the factor-row gather), returned as
+  a state;
 - `_loss(state)`: the mean loss;
 - `_grad(state, coords)`: the mean gradient at `coords`, an index array or
   `slice(None)` for all d, in the order of `coords`;
@@ -17,6 +18,13 @@ the restricted one at full support, bit for bit; the fused oracle runs
 both readers on one pass.  The full-data oracles select with a slice, so
 they read the rows in place.
 
+`grad` is set by the base class alone: `loss_batch` passes False and
+every other oracle True.  A loss-only pass skips what only the gradient
+readers use (a linear model's derivatives and gradient sum, the network's
+per-layer arrays) but makes the loss's per-row values from the same
+products in the same tiles, so `loss_grad_batch`'s loss is `loss_batch`'s,
+bit for bit, at any BLAS thread count.
+
 Least squares and logistic regression are one linear model,
 phi(a_i.x, t_i) plus a ridge, and share one pass.  It and the network's go
 over the rows in the tiles of one rule, `_row_tiles`: at most TILE_FLOATS
@@ -24,23 +32,17 @@ values per tile.  The linear pass writes each tile's products a_i.x and
 their derivatives w_i in a_i.x, and adds the tile's share of A^T w to the
 d-length gradient sum while the tile is still in cache, so each row of A
 comes from memory once, and an index-array selection is gathered one
-tile at a time.  Every oracle runs that one pass, so the loss and the
-gradient of `loss_grad_batch` are those of `loss_batch` and `grad_batch`
-at any BLAS thread count.  The tiles are cut so that, on a one-thread
-BLAS, the products and so the losses are those of one product
-A[idx] @ x.  A gradient summed over several tiles differs in its last bits
-from one product over all the rows.
+tile at a time.  The tiles are cut so that, on a one-thread BLAS, the
+products and so the losses are those of one product A[idx] @ x.  A
+gradient summed over several tiles differs in its last bits from one
+product over all the rows.
 
-The network's forward pass writes each tile's layer outputs into the
-per-layer arrays that backprop reads.  A loss needs none of them, so
-`MLPProblem` overrides the composed `loss_batch` with a pass that keeps
-one tile's activations and the per-row log-likelihoods: a full-data loss
-holds one tile, not the whole selection's hidden layers.  Both passes cut
-the same tiles and take one mean of the same per-row values, so
-`loss_grad_batch`'s loss is `loss_batch`'s, bit for bit.  OpenBLAS's
-per-row gemm result can depend on the number of rows, so a network loss
-or gradient over more than one tile may differ in its last bits from one
-product over all the rows; a selection of one tile is that product.
+The network's gradient pass writes each tile's layer outputs into the
+per-layer arrays that backprop reads; its loss-only pass reuses one tile's
+buffers, so a full-data loss holds one tile.  OpenBLAS's per-row gemm
+result can depend on the number of rows, so a network loss or gradient
+over more than one tile may differ in its last bits from one product over
+all the rows; a selection of one tile is that product.
 
 Each `_grad` gathers `coords` from a d-length gradient or gradient sum
 (the linear models and the network scale only the gathered entries), so a
@@ -147,10 +149,11 @@ class FiniteSumProblem(abc.ABC):
     d: int
 
     @abc.abstractmethod
-    def _pass(self, idx, x: np.ndarray):
-        """The forward pass over the components in idx at a checked x.  A
-        problem may fuse part of the gradient into it (the linear models sum
-        A^T w tile by tile), so that `_grad` only gathers and scales."""
+    def _pass(self, idx, x: np.ndarray, grad: bool):
+        """The forward pass over the components in idx at a checked x.  With
+        grad, a problem may fuse part of the gradient into it (the linear
+        models sum A^T w tile by tile), so that `_grad` only gathers and
+        scales; without, only `_loss` reads the state."""
 
     @abc.abstractmethod
     def _loss(self, state) -> float:
@@ -164,13 +167,13 @@ class FiniteSumProblem(abc.ABC):
     def _components(self, state) -> np.ndarray:
         """Per-component gradients of a pass, one row per component."""
 
-    def _state(self, idx, x):
+    def _state(self, idx, x, grad=True):
         """The pass over idx at x, after the one check of x."""
-        return self._pass(idx, as_vector(x, self.d))
+        return self._pass(idx, as_vector(x, self.d), grad)
 
     def loss_batch(self, idx, x: np.ndarray) -> float:
         """Average loss over the components in idx."""
-        return self._loss(self._state(idx, x))
+        return self._loss(self._state(idx, x, grad=False))
 
     def grad_batch(self, idx, x: np.ndarray) -> np.ndarray:
         """Average gradient over the components in idx."""
@@ -190,10 +193,6 @@ class FiniteSumProblem(abc.ABC):
     def grad_components(self, idx, x: np.ndarray) -> np.ndarray:
         """len(idx) x d matrix whose rows are the per-component gradients."""
         return self._components(self._state(idx, x))
-
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        """Loss of component i at x."""
-        return self.loss_batch([i], x)
 
     def full_loss(self, x: np.ndarray) -> float:
         """f(x), averaged over all components."""
@@ -241,9 +240,9 @@ class _LinearModel(FiniteSumProblem):
     def _check_targets(self, t) -> None:
         """ValueError if a target is outside phi's domain."""
 
-    def _pass(self, idx, x):
+    def _pass(self, idx, x, grad):
         """(x, idx, products z = A[idx] @ x, targets t, derivatives w,
-        gradient sum A[idx].T @ w).
+        gradient sum A[idx].T @ w); w and the sum are None without grad.
 
         The pass goes over the rows in tiles (views of a slice, gathered
         pieces of an index array) of `_row_tiles`, writes each tile's
@@ -254,17 +253,18 @@ class _LinearModel(FiniteSumProblem):
         that fits in one tile is that product, and its sum is A[idx].T @ w."""
         t = self.targets[idx]
         rows = self.A[idx] if isinstance(idx, slice) else None
-        z, w = np.empty(len(t)), np.empty(len(t))
-        g = np.zeros(self.d)   # an empty selection sums to 0
+        z = np.empty(len(t))
+        w = np.empty(len(t)) if grad else None
+        g = np.zeros(self.d) if grad else None   # an empty selection sums to 0
         for lo, hi in _row_tiles(len(t), self.d):
             tile = self.A[idx[lo:hi]] if rows is None else rows[lo:hi]
-            z_c, w_c = z[lo:hi], w[lo:hi]
-            np.matmul(tile, x, out=z_c)
-            w_c[...] = self._dphi(z_c, t[lo:hi])
-            if lo:
-                g += tile.T @ w_c
-            else:
-                np.matmul(tile.T, w_c, out=g)
+            np.matmul(tile, x, out=z[lo:hi])
+            if grad:
+                w[lo:hi] = self._dphi(z[lo:hi], t[lo:hi])
+                if lo:
+                    g += tile.T @ w[lo:hi]
+                else:
+                    np.matmul(tile.T, w[lo:hi], out=g)
             # Free a gathered tile before the next is gathered.  A pass then
             # holds one tile, under the trim threshold that glibc sets from
             # a freed tile, so the heap keeps the tile's pages for the next
@@ -360,14 +360,12 @@ class MLPProblem(FiniteSumProblem):
     sums go straight into one d-length vector, from which `_grad` gathers
     the requested entries and scales only those.
 
-    The forward pass goes over the `_row_tiles` of the widest non-input
-    layer: 512 rows at 256 hidden units.  A gradient pass writes each
-    tile's layer outputs into the per-layer arrays that backprop reads; a
-    loss-only pass keeps one tile's activations and the per-row
-    log-likelihoods.  OpenBLAS's per-row gemm result can depend on the
-    number of rows, so a loss or gradient over more than one tile may
-    differ in its last bits from one product over all the rows.  Every
-    oracle cuts the same tiles, so the oracles agree bit for bit.
+    The one forward pass, `_pass`, goes over the `_row_tiles` of the widest
+    non-input layer: 512 rows at 256 hidden units.  In gradient mode it
+    writes each tile's layer outputs into the per-layer arrays that
+    backprop reads; in loss-only mode it reuses one tile's buffers.  Both
+    keep the per-row log-likelihoods, and every oracle cuts the same tiles,
+    so the oracles agree bit for bit (see the module docstring on tiles).
     """
 
     def __init__(self, layer_sizes, X: np.ndarray, labels: np.ndarray):
@@ -425,48 +423,38 @@ class MLPProblem(FiniteSumProblem):
         z -= z.max(axis=1, keepdims=True)
         z -= np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
-    def _pass(self, idx, x):
-        """(labels, params, activations, log-probabilities) of the samples
-        in idx: the one forward pass that the loss and the backprop read,
-        each tile written into one array per layer.  The activations are
-        the inputs and the hidden layers' outputs."""
+    def _pass(self, idx, x, grad):
+        """(labels, params, activations, log-probabilities, per-row
+        log-likelihoods) of the samples in idx; the activations are the
+        inputs and the hidden layers' outputs.  Without grad, an index array
+        is gathered one tile at a time and only the log-likelihoods are
+        kept: the activations and log-probabilities are None."""
         params = self._unpack(x)
-        xb = self.X[idx]
-        m = len(xb)
-        outs = [np.empty((m, nout)) for *_, nout in self._layout]
-        for lo, hi in self._tiles(m):
-            self._forward(params, xb[lo:hi], [a[lo:hi] for a in outs])
-        return self.labels[idx], params, [xb, *outs[:-1]], outs[-1]
+        # gathered first: after the layer arrays, xb raised peak RSS by 1 MB
+        xb = self.X[idx] if grad or isinstance(idx, slice) else None
+        labels = self.labels[idx]
+        m = len(labels)
+        tiles = list(self._tiles(m))
+        size = m if grad else max((hi - lo for lo, hi in tiles), default=0)
+        outs = [np.empty((size, nout)) for *_, nout in self._layout]
+        logl = np.empty(m)
+        for lo, hi in tiles:
+            tile = self.X[idx[lo:hi]] if xb is None else xb[lo:hi]
+            at = slice(lo, hi) if grad else slice(hi - lo)
+            self._forward(params, tile, [a[at] for a in outs])
+            logl[lo:hi] = outs[-1][at][np.arange(hi - lo), labels[lo:hi]]
+            del tile   # free a gathered tile before the next is gathered
+        acts, logp = ([xb, *outs[:-1]], outs[-1]) if grad else (None, None)
+        return labels, params, acts, logp, logl
 
     def _loss(self, state):
         """Mean cross-entropy."""
-        labels, _, _, logp = state
-        return float(-np.mean(logp[np.arange(len(logp)), labels]))
-
-    def loss_batch(self, idx, x: np.ndarray) -> float:
-        """Mean cross-entropy over idx: `_loss` of `_pass` bit for bit (the
-        same tiles, per-row values and mean), from a pass that keeps one
-        tile's activations and the per-row log-likelihoods.  An index-array
-        selection is gathered one tile at a time."""
-        params = self._unpack(as_vector(x, self.d))
-        labels = self.labels[idx]
-        rows = self.X[idx] if isinstance(idx, slice) else None
-        tiles = list(self._tiles(len(labels)))
-        size = max((hi - lo for lo, hi in tiles), default=0)
-        bufs = [np.empty((size, nout)) for *_, nout in self._layout]
-        logl = np.empty(len(labels))
-        for lo, hi in tiles:
-            xb = self.X[idx[lo:hi]] if rows is None else rows[lo:hi]
-            outs = [buf[:hi - lo] for buf in bufs]
-            self._forward(params, xb, outs)
-            logl[lo:hi] = outs[-1][np.arange(hi - lo), labels[lo:hi]]
-            del xb   # free a gathered tile before the next is gathered
-        return float(-np.mean(logl))
+        return float(-np.mean(state[4]))
 
     @staticmethod
     def _deltas(state):
         """Backprop error signals per layer."""
-        labels, params, acts, logp = state
+        labels, params, acts, logp, _ = state
         delta = np.exp(logp)
         delta[np.arange(len(delta)), labels] -= 1.0
         deltas = [None] * len(params)
@@ -557,9 +545,9 @@ class MatrixFactorizationProblem(FiniteSumProblem):
         qc = self.n_rows * r + v[:, None] * r + np.arange(r)[None, :]
         return pc, qc
 
-    def _pass(self, idx, x):
+    def _pass(self, idx, x, grad):
         """Rows u, columns v, factor rows P_u, Q_v and residuals
-        P_u.Q_v - R_uv of the components in idx."""
+        P_u.Q_v - R_uv of the components in idx; `grad` changes nothing."""
         p, q = self._factors(x)
         u, v = self.rows[idx], self.cols[idx]
         pu, qv = p[u], q[v]

@@ -403,7 +403,7 @@ class TestOracleConsistency:
     def test_full_loss_matches_component_mean(self, problem):
         rng = np.random.default_rng(29)
         x = 0.5 * rng.standard_normal(problem.d)
-        mean = np.mean([problem.component_loss(i, x) for i in range(problem.n)])
+        mean = np.mean([problem.loss_batch([i], x) for i in range(problem.n)])
         assert abs(problem.full_loss(x) - mean) <= 1e-10
 
     @pytest.mark.parametrize("problem", all_desk_problems(),
@@ -419,8 +419,8 @@ class TestOracleConsistency:
                              ids=lambda p: type(p).__name__)
     def test_negative_component_index(self, problem):
         x = 0.5 * np.random.default_rng(46).standard_normal(problem.d)
-        assert (problem.component_loss(-1, x)
-                == problem.component_loss(problem.n - 1, x))
+        assert (problem.loss_batch([-1], x)
+                == problem.loss_batch([problem.n - 1], x))
 
 
 class TestFusedOracle:
@@ -441,6 +441,18 @@ class TestFusedOracle:
             loss, grad = problem.loss_grad_batch(idx, x)
             assert loss == problem.loss_batch(idx, x)
             assert np.array_equal(grad, problem.grad_batch(idx, x))
+
+    @pytest.mark.parametrize("problem", all_desk_problems(),
+                             ids=lambda p: type(p).__name__)
+    def test_no_problem_class_defines_a_public_oracle(self, problem):
+        # Every public oracle is composed in FiniteSumProblem from one
+        # `_pass`; a class of its own would be a second pass to keep in step.
+        oracles = {"loss_batch", "grad_batch", "grad_batch_restricted",
+                   "loss_grad_batch", "grad_components", "full_loss",
+                   "full_grad"}
+        mro = type(problem).__mro__
+        for cls in mro[:mro.index(problems.FiniteSumProblem)]:
+            assert not oracles & set(vars(cls)), cls.__name__
 
 
 class LinearModelTiles:
@@ -552,6 +564,25 @@ class LinearModelTiles:
                 assert grad.tobytes() == p.grad_batch(idx, x).tobytes()
             assert p.loss_grad_batch(slice(None), x)[0] == p.full_loss(x)
 
+    def test_a_loss_pass_takes_no_derivative(self, monkeypatch):
+        # The loss reads only the products; the derivatives and the
+        # gradient sum are the gradient oracles' alone.
+        monkeypatch.setattr(problems, "TILE_FLOATS", 4 * self.D)
+        p, rng = self.problem(), np.random.default_rng(69)
+        x = rng.standard_normal(self.D)
+        gathered = rng.integers(0, self.N, size=29)
+        want = [self.untiled(p, idx, x)[2]
+                for idx in (slice(None), gathered, slice(2, None, 3))]
+
+        def no_dphi(z, t):
+            raise AssertionError("phi's derivative was taken")
+
+        monkeypatch.setattr(p, "_dphi", no_dphi)
+        assert [p.full_loss(x), p.loss_batch(gathered, x),
+                p.loss_batch(slice(2, None, 3), x)] == want
+        with pytest.raises(AssertionError, match="derivative"):
+            p.grad_batch(gathered, x)
+
     def test_components_read_the_tiled_residuals(self, monkeypatch):
         monkeypatch.setattr(problems, "TILE_FLOATS", 4 * self.D)
         p, rng = self.problem(), np.random.default_rng(66)
@@ -659,7 +690,7 @@ class TestMLPTiles:
         idx = np.sort(np.random.default_rng(74).choice(p.n, 1_100,
                                                        replace=False))
         for sel, held_inputs in ((slice(None), False), (idx, True)):
-            peak, (_, _, acts, logp) = traced_peak(lambda: p._state(sel, x))
+            peak, (_, _, acts, logp, _) = traced_peak(lambda: p._state(sel, x))
             held = sum(a.nbytes for a in acts[0 if held_inputs else 1:])
             assert peak <= held + logp.nbytes + 1.5 * self.MIB
         # The whole oracles, against the untiled pass's 12.18 MiB (full
