@@ -10,8 +10,8 @@ from .optimize import (HyperparamInputs, RunConfig, RunRecord,
 from .problems import (FiniteSumProblem, LeastSquaresProblem, LogisticProblem,
                        MatrixFactorizationProblem, MLPProblem,
                        ProblemConstants, estimate_constants)
-from .sampling import (GeomParams, RngStream, check_geom_lemma,
-                       draw_geometric, draw_geometric_many, sample_batch)
+from .sampling import (RngStream, check_geom_lemma, draw_geometric_many,
+                       sample_batch)
 from .sparsity import (SparsityParams, rtop, rtop_enumerate, select_top_k1,
                        top_neg_k1)
 from .vecops import norm2_sq
@@ -27,8 +27,7 @@ __all__ = [
     "FiniteSumProblem", "LeastSquaresProblem", "LogisticProblem",
     "MatrixFactorizationProblem", "MLPProblem", "ProblemConstants",
     "estimate_constants",
-    "GeomParams", "RngStream", "check_geom_lemma", "draw_geometric",
-    "draw_geometric_many", "sample_batch",
+    "RngStream", "check_geom_lemma", "draw_geometric_many", "sample_batch",
     "SparsityParams", "rtop", "rtop_enumerate", "select_top_k1", "top_neg_k1",
     "norm2_sq",
 ]

@@ -46,7 +46,7 @@ def spiderboost_replay(cfg: RunConfig) -> list:
     nu + (g(x_new) - g(x)), with g the problem's grad_batch on the inner
     batch.  The identity operator (k1+k2 = d) must reproduce it bit for bit.
     """
-    _require(cfg.inner_mode == "fixed", "the replay runs fixed inner loops")
+    _require(not cfg.theory, "the replay runs fixed inner loops")
     prob, n = cfg.problem, cfg.problem.n
     rng = RngStream(cfg.seed, STREAM_BATCH)
     x = _initial_iterate(prob, cfg.x0)
@@ -179,7 +179,7 @@ def criterion_04_meter_identity():
                         m=int(rng.integers(1, 7)), T=int(rng.integers(1, 7)),
                         B=big_b, b=small_b, alpha=float(rng.random()),
                         k1=k1, k2=k2,
-                        inner_mode="geometric" if trial % 2 else "fixed",
+                        theory=trial % 2 == 1,
                         seed=trial, record_grad_norm=False)
         _, record = run_sparse_spiderboost(cfg)
         _require(not record.aborted, f"trial {trial} aborted")

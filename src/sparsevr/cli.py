@@ -229,12 +229,10 @@ class ExperimentSpec:
                 return args
             k1, k2 = ((v["opt.k1"], v["opt.k2"]) if alg == "sparse-spiderboost"
                       else (0, problem.d))
-            theory = v["run.mode"] == "theory"
             cfg = RunConfig(
                 problem=problem, eta=v["opt.eta"], m=v["opt.m"], T=v["opt.T"],
                 B=v["opt.B"], b=v["opt.b"], alpha=v["opt.alpha"], k1=k1, k2=k2,
-                inner_mode="geometric" if theory else "fixed",
-                output_mode="uniform" if theory else "last",
+                theory=v["run.mode"] == "theory",
                 x0=self.x0, eta_end=v["opt.eta_end"],
                 record_grad_norm=v["run.record_grad_norm"],
                 target_grad_norm=v["run.target_grad_norm"])
@@ -380,8 +378,8 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 # The settings a CSV echoes, per kind of run description.
-_ECHO_KEYS = {RunConfig: ("B", "T", "alpha", "b", "eta", "eta_end",
-                          "inner_mode", "k1", "k2", "m", "output_mode"),
+_ECHO_KEYS = {RunConfig: ("B", "T", "alpha", "b", "eta", "eta_end", "k1",
+                          "k2", "m", "theory"),
               dict: ("b", "eta", "eta_decay", "steps")}
 
 

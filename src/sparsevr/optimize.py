@@ -64,8 +64,8 @@ import numpy as np
 from .diagnostics import QueryMeter, entropy_bits, measure_g_G
 from .problems import FiniteSumProblem, ProblemConstants
 from .sampling import (STREAM_BATCH, STREAM_CAPTURE, STREAM_GEOM,
-                       STREAM_OPERATOR, STREAM_OUTPUT, GeomParams, RngStream,
-                       draw_geometric, sample_batch)
+                       STREAM_OPERATOR, STREAM_OUTPUT, RngStream,
+                       draw_geometric_many, sample_batch)
 from .sparsity import SparsityParams, draw_support, select_top_k1, slot_scale
 from .vecops import as_vector
 
@@ -109,8 +109,7 @@ class RunConfig:
     alpha: float = 0.5
     k1: int = 0
     k2: int = 0
-    inner_mode: str = "fixed"        # fixed | geometric
-    output_mode: str = "last"        # last | uniform
+    theory: bool = False    # Geom(m) inner loops and a uniformly drawn output
     seed: int = 0
     x0: np.ndarray | None = None
     eta_end: float | None = None     # linear inner-loop interpolation when set
@@ -134,10 +133,8 @@ class RunConfig:
         if self.record_capture and self.k1 + self.k2 == d:
             raise ValueError("record_capture needs k1+k2 < d: the identity "
                              "operator keeps no memory to score a top-k1 set")
-        if self.inner_mode not in ("fixed", "geometric"):
-            raise ValueError("inner_mode must be 'fixed' or 'geometric'")
-        if self.output_mode not in ("last", "uniform"):
-            raise ValueError("output_mode must be 'last' or 'uniform'")
+        if not isinstance(self.theory, bool):
+            raise ValueError("theory must be True or False")
         if self.x0 is not None:
             as_vector(self.x0, d)
         _check_step("eta_end", self.eta_end)
@@ -331,8 +328,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     k = cfg.k1 + cfg.k2
     identity = k == d
     want_norm = cfg.record_grad_norm or cfg.target_grad_norm is not None
-    geom = GeomParams(cfg.m) if cfg.inner_mode == "geometric" else None
-    out_index = out_rng.integers(1, cfg.T + 1) if cfg.output_mode == "uniform" else None
+    out_index = out_rng.integers(1, cfg.T + 1) if cfg.theory else None
     x_stash = None
 
     if not identity:
@@ -357,7 +353,8 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                     memory = np.abs(nu)
                 np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
             meter.charge_snapshot(cfg.B, n)
-            n_j = cfg.m if geom is None else draw_geometric(geom, geom_rng)
+            n_j = (int(draw_geometric_many(cfg.m, geom_rng, 1)[0])
+                   if cfg.theory else cfg.m)
 
             for t in range(n_j):
                 eta_t = _inner_eta(cfg, t)
@@ -422,22 +419,21 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     except _Aborted as ab:
         _abort(record, ab)
 
-    if (cfg.output_mode == "uniform" and x_stash is not None
-            and not record.aborted and cfg.target_grad_norm is None):
-        x_out = x_stash
-    else:
-        x_out = x
-    return x_out, record
+    if (x_stash is not None and not record.aborted
+            and cfg.target_grad_norm is None):
+        return x_stash, record
+    return x, record
 
 
 def run_sparse_spiderboost(cfg: RunConfig):
     """Variance reduction with sparsified gradient-difference corrections.
 
     Outer loop: refresh nu from a size-min(B,n) snapshot batch.  Inner loop
-    (m steps, or Geom(m) in 'geometric' mode): step x by -eta*nu, then add
+    (m steps, or Geom(m) steps in theory mode): step x by -eta*nu, then add
     the sparsified small-batch gradient difference to nu and fold |nu| into
-    the memory vector.  Returns the last iterate, or a uniformly chosen
-    outer-loop iterate in 'uniform' output mode.
+    the memory vector.  Returns the last iterate, or in theory mode a
+    uniformly chosen outer-loop iterate.  A run that aborts, or that has a
+    gradient-norm target, returns its last iterate.
     """
     return _spider_loop(cfg, "sparse-spiderboost")
 

@@ -10,7 +10,6 @@ so that replaying one kind of draw never perturbs another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,22 +132,6 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
     return np.where(prev < 0, j, link[prev])
 
 
-@dataclass(frozen=True)
-class GeomParams:
-    """Geometric inner-loop length with mean m, supported on {0, 1, ...}."""
-
-    m: float
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("mean m must be positive")
-
-    @property
-    def gamma(self) -> float:
-        # P(N = k) = gamma^k (1 - gamma) has mean gamma/(1-gamma) = m.
-        return self.m / (self.m + 1.0)
-
-
 def sample_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     """Uniform random size-`size` subset of {0, ..., n-1}, without replacement."""
     if size < 1 or size > n:
@@ -156,16 +139,13 @@ def sample_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     return rng.subset(n, size)
 
 
-def draw_geometric(p: GeomParams, rng: RngStream) -> int:
-    """One draw of N with P(N=k) = gamma^k (1-gamma); the first of
-    `draw_geometric_many`'s draws."""
-    return int(draw_geometric_many(p, rng, 1)[0])
-
-
-def draw_geometric_many(p: GeomParams, rng: RngStream, count: int) -> np.ndarray:
-    """`count` draws of N with P(N=k) = gamma^k (1-gamma), via inverse CDF."""
+def draw_geometric_many(m: float, rng: RngStream, count: int) -> np.ndarray:
+    """`count` draws of N ~ Geom(m): P(N=k) = gamma^k (1-gamma) on
+    {0, 1, ...} with gamma = m/(m+1), so E N = m; via inverse CDF."""
+    if not m > 0:
+        raise ValueError("mean m must be positive")
     u = 1.0 - rng.random(count)
-    return np.floor(np.log(u) / math.log(p.gamma)).astype(np.int64)
+    return np.floor(np.log(u) / math.log(m / (m + 1.0))).astype(np.int64)
 
 
 def check_geom_lemma(m: float, sequence, trials: int, rng: RngStream):
@@ -177,8 +157,7 @@ def check_geom_lemma(m: float, sequence, trials: int, rng: RngStream):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = GeomParams(m)
-    ns = draw_geometric_many(p, rng, trials)
+    ns = draw_geometric_many(m, rng, trials)
     d_n = np.asarray(sequence(ns), dtype=np.float64)
     d_n1 = np.asarray(sequence(ns + 1), dtype=np.float64)
     d_0 = float(np.asarray(sequence(np.zeros(1, dtype=np.int64)))[0])

@@ -55,8 +55,7 @@ def test_criterion_06_worst_case_desk_guarantee():
     for seed in range(20):
         cfg = RunConfig(problem=problem, eta=frag["eta"], m=frag["m"],
                         T=frag["T"], B=frag["B"], b=10, alpha=0.5, k1=5, k2=5,
-                        inner_mode="geometric", output_mode="uniform",
-                        seed=seed, record_grad_norm=False)
+                        theory=True, seed=seed, record_grad_norm=False)
         x_out, record = run_sparse_spiderboost(cfg)
         assert not record.aborted
         norms.append(float(np.linalg.norm(problem.full_grad(x_out))))

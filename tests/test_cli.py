@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from sparsevr import checks
-from sparsevr.cli import (PRESETS, ConfigError, build_aggregate, build_problem,
-                          generate_dataset, main, parse_config, read_run_csv,
-                          run_experiment)
+from sparsevr.cli import (PRESETS, ConfigError, _atomic_write, build_aggregate,
+                          build_problem, generate_dataset, main, parse_config,
+                          read_run_csv, run_experiment)
 from sparsevr.optimize import run_sgd, run_spiderboost_dense
-from sparsevr.problems import (LeastSquaresProblem, gen_low_rank_ratings,
-                               load_labeled_dataset)
+from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
+                               gen_low_rank_ratings, load_labeled_dataset)
 
 MINIMAL = """
 problem.kind = gaussian-ls
@@ -84,6 +84,10 @@ class TestParseConfig:
     def test_rejects_bad_value_with_key_name(self):
         with pytest.raises(ConfigError, match="opt.m"):
             parse_config(MINIMAL + "opt.m = fast\n")
+
+    def test_rejects_bad_bool_with_line_number(self):
+        with pytest.raises(ConfigError, match="line 5: bad value"):
+            parse_config(MINIMAL + "run.timing = maybe\n")
 
     def test_rejects_missing_required_key(self):
         with pytest.raises(ConfigError, match="problem.kind"):
@@ -177,6 +181,22 @@ class TestBuildProblem:
                             "opt.b = 2\nopt.B = 4\n")
         assert (spec.problem.n_rows, spec.problem.n_cols) == (30, 20)
 
+    def test_logistic_file_round_trip(self, tmp_path):
+        path = tmp_path / "blobs.txt"
+        assert main(["gen", "--kind", "logistic-blobs", "--n", "40", "--d",
+                     "4", "--seed", "2", "--out", str(path)]) == 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"problem.kind = logistic-file\nproblem.path = {path}\n"
+                       "opt.B = 40\nopt.b = 4\nopt.m = 3\nopt.T = 2\n"
+                       "opt.k1 = 1\nopt.k2 = 1\nrun.seeds = 1\n")
+        spec = parse_config(cfg.read_text())
+        assert isinstance(spec.problem, LogisticProblem)
+        assert (spec.problem.n, spec.problem.d) == (40, 4)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_run_csv(str(out / "sparse-spiderboost_seed1.csv"))
+        assert len(rows) == 2
+
 
 class TestGenerateDataset:
     def test_same_seed_same_bytes(self, tmp_path):
@@ -243,6 +263,28 @@ class TestRunExperiment:
         body = [ln for ln in lines if not ln.startswith("#")]
         assert body[0] == "j,N_j,queries_over_n,loss,grad_norm,entropy_bits,wall_ms"
         assert len(body) == 1 + 6  # header + T rows
+
+    def test_bool_keys_fill_wall_ms_and_drop_grad_norm(self, tmp_path):
+        out = tmp_path / "out"
+        spec = parse_config(SMALL_RUN.replace("1,2,3", "1") +
+                            f"run.out = {out}\nrun.timing = yes\n"
+                            "run.record_grad_norm = false\n")
+        assert run_experiment(spec) == 0
+        lines = (out / "spiderboost_seed1.csv").read_text().splitlines()
+        body = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        column = dict(zip(body[0], zip(*body[1:])))
+        assert all(float(ms) >= 0 for ms in column["wall_ms"])
+        assert set(column["grad_norm"]) == {""}
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path,
+                                                    monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("sparsevr.cli.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(str(tmp_path / "run.csv"), "j\n1\n")
+        assert os.listdir(tmp_path) == []
 
     def test_divergent_run_gives_nonzero_exit(self, tmp_path):
         cfg = SMALL_RUN.replace("opt.eta = 0.3", "opt.eta = 1e9")
@@ -414,8 +456,7 @@ class TestMainEntrypoint:
         assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--mode", "theory"]) == 0
         text = (out / "sparse-spiderboost_seed1.csv").read_text()
-        assert "# inner_mode = geometric" in text
-        assert "# output_mode = uniform" in text
+        assert "# theory = True" in text
 
 
 MLP_K2_1 = PRESETS["mlp-blobs"].replace("opt.k2 = 10", "opt.k2 = 1")

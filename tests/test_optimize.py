@@ -110,7 +110,7 @@ class TestRunConfigValidation:
         prob = quadratic_problem()
         with pytest.raises(ValueError):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4,
-                      inner_mode="sometimes").validate()
+                      theory="sometimes").validate()
 
     def test_rejects_oversized_sparsity(self):
         prob = quadratic_problem()
@@ -243,7 +243,7 @@ class TestMeterIdentity:
                             m=int(rng.integers(1, 8)),
                             T=int(rng.integers(1, 8)),
                             B=big_b, b=small_b, k1=k1, k2=k2,
-                            inner_mode="geometric" if trial % 2 else "fixed",
+                            theory=trial % 2 == 1,
                             seed=trial, record_grad_norm=False)
             _, record = run_sparse_spiderboost(cfg)
             expect = Fraction(0)
@@ -265,7 +265,7 @@ class TestTheoryMode:
     def test_geometric_lengths_recorded(self):
         prob = quadratic_problem()
         cfg = RunConfig(problem=prob, eta=0.1, m=3, T=40, B=4, b=4,
-                        k1=0, k2=4, inner_mode="geometric", seed=11,
+                        k1=0, k2=4, theory=True, seed=11,
                         record_grad_norm=False)
         _, record = run_sparse_spiderboost(cfg)
         lengths = record.inner_lengths()
@@ -279,8 +279,7 @@ class TestTheoryMode:
         hits = set()
         for seed in range(12):
             cfg = RunConfig(problem=prob, eta=0.1, m=2, T=6, B=8, b=2,
-                            k1=1, k2=1, inner_mode="geometric",
-                            output_mode="uniform", seed=seed,
+                            k1=1, k2=1, theory=True, seed=seed,
                             keep_iterates=True, record_grad_norm=False)
             x_out, record = run_sparse_spiderboost(cfg)
             matches = [j for j, xj in enumerate(record.iterates, start=1)
@@ -293,7 +292,7 @@ class TestTheoryMode:
         # geometric draws hit N_j = 0 regularly at small m
         prob = quadratic_problem()
         cfg = RunConfig(problem=prob, eta=0.1, m=1, T=30, B=4, b=4,
-                        k1=0, k2=4, inner_mode="geometric", seed=13,
+                        k1=0, k2=4, theory=True, seed=13,
                         record_grad_norm=False)
         _, record = run_sparse_spiderboost(cfg)
         assert 0 in record.inner_lengths()
@@ -426,7 +425,8 @@ class TestTopK1FromPrevious:
             for mode in ("fixed", "geometric"):
                 cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3,
                                 B=min(12, prob.n), b=min(3, prob.n),
-                                alpha=alpha, k1=k1, k2=k2, inner_mode=mode,
+                                alpha=alpha, k1=k1, k2=k2,
+                                theory=mode == "geometric",
                                 seed=3, x0=x0, record_grad_norm=False)
                 calls = []
 
@@ -610,7 +610,8 @@ class TestEveryGradientIsCharged:
         x0 = 0.3 * np.random.default_rng(8).standard_normal(prob.d)
         for runner in (run_sparse_spiderboost, run_spiderboost_dense):
             cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3, B=snap, b=b,
-                            k1=k1, k2=k2, inner_mode=mode, seed=3, x0=x0,
+                            k1=k1, k2=k2, theory=mode == "geometric",
+                            seed=3, x0=x0,
                             record_grad_norm=False)
             calls.update(snapshot=0, inner=0, restricted=0)
             _, record = runner(cfg)
@@ -819,6 +820,18 @@ class TestSgd:
                                 x0=x0, record_every=1)
         assert np.array_equal(x_out, 0.5 ** 6 * x0)
         assert record.meter.units == Fraction(6 * 4)
+
+    def test_stops_at_the_first_row_that_meets_the_target(self):
+        # full batches halve x, and grad f(x) = x: ||grad|| = sqrt(85) / 2^t
+        prob = quadratic_problem()
+        x0 = np.array([1.0, -2.0, 4.0, -8.0])
+        x_out, record = run_sgd(eta=0.5, b=4, steps=10, problem=prob, seed=0,
+                                x0=x0, record_every=1, target_grad_norm=1.0)
+        norms = [row.grad_norm for row in record.rows]
+        assert len(norms) == 4 < 10
+        assert norms[-1] <= 1.0 < min(norms[:-1])
+        assert np.array_equal(x_out, 0.5 ** 4 * x0)
+        assert record.meter.units == Fraction(4 * 4)
 
     def test_zero_gradient_start_is_fixed_point(self):
         prob = quadratic_problem()

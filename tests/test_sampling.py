@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsevr.sampling import (GeomParams, RngStream, _resolve_swaps,
-                               check_geom_lemma, draw_geometric,
+from sparsevr.sampling import (RngStream, _resolve_swaps, check_geom_lemma,
                                draw_geometric_many, sample_batch)
 
 
@@ -202,37 +201,26 @@ class TestSampleBatch:
 
 
 class TestGeometric:
-    def test_gamma_from_mean(self):
-        assert GeomParams(1.0).gamma == 0.5
-        assert GeomParams(10.0).gamma == pytest.approx(10 / 11)
-
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
-            GeomParams(0.0)
+            draw_geometric_many(0.0, RngStream(3, 2), 1)
 
     def test_sample_mean_near_m(self):
-        draws = draw_geometric_many(GeomParams(10.0), RngStream(3, 2), 1_000_000)
+        draws = draw_geometric_many(10.0, RngStream(3, 2), 1_000_000)
         assert 9.9 <= float(draws.mean()) <= 10.1
 
     def test_mass_at_zero(self):
-        draws = draw_geometric_many(GeomParams(10.0), RngStream(4, 2), 1_000_000)
+        draws = draw_geometric_many(10.0, RngStream(4, 2), 1_000_000)
         p0 = float(np.mean(draws == 0))
         assert abs(p0 - 1 / 11) < 0.003
-
-    def test_scalar_matches_vectorized(self):
-        p = GeomParams(7.0)
-        scalar = [draw_geometric(p, RngStream(9, 2)) for _ in range(1)][0]
-        vector = int(draw_geometric_many(p, RngStream(9, 2), 1)[0])
-        assert scalar == vector
 
     def test_chi_square_goodness_of_fit(self):
         # First 20 support points plus the tail bucket; critical value is
         # the 0.999 quantile of chi-square with 20 degrees of freedom.
         m = 6.0
-        p = GeomParams(m)
         n = 1_000_000
-        draws = draw_geometric_many(p, RngStream(8, 2), n)
-        gamma = p.gamma
+        draws = draw_geometric_many(m, RngStream(8, 2), n)
+        gamma = m / (m + 1)
         probs = [(gamma ** k) * (1 - gamma) for k in range(20)]
         tail = 1.0 - sum(probs)
         observed = [int(np.sum(draws == k)) for k in range(20)]
