@@ -2,10 +2,9 @@
 
 from .diagnostics import (QueryMeter, SparsityCapture, entropy_bits,
                           estimate_estimator_variance, measure_g_G)
-from .optimize import (HyperparamInputs, RunConfig, RunRecord,
-                       allocate_block_sparsity, apply_hyperparams,
-                       data_adaptive_hyperparams, run_sgd,
-                       run_sparse_spiderboost, run_spiderboost_dense,
+from .optimize import (HyperparamInputs, RunConfig, RunRecord, SgdConfig,
+                       allocate_block_sparsity, data_adaptive_hyperparams,
+                       run_sgd, run_sparse_spiderboost, run_spiderboost_dense,
                        worst_case_hyperparams)
 from .problems import (FiniteSumProblem, LeastSquaresProblem, LogisticProblem,
                        MatrixFactorizationProblem, MLPProblem,
@@ -21,8 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "QueryMeter", "SparsityCapture", "entropy_bits",
     "estimate_estimator_variance", "measure_g_G",
-    "HyperparamInputs", "RunConfig", "RunRecord", "allocate_block_sparsity",
-    "apply_hyperparams", "data_adaptive_hyperparams", "run_sgd",
+    "HyperparamInputs", "RunConfig", "RunRecord", "SgdConfig",
+    "allocate_block_sparsity", "data_adaptive_hyperparams", "run_sgd",
     "run_sparse_spiderboost", "run_spiderboost_dense", "worst_case_hyperparams",
     "FiniteSumProblem", "LeastSquaresProblem", "LogisticProblem",
     "MatrixFactorizationProblem", "MLPProblem", "ProblemConstants",

@@ -9,7 +9,7 @@ Verbs:
 
 Configs are flat `section.key = value` lines; unknown or duplicate keys
 are rejected with their line number before any computation starts.  A
-config is parsed into one validated run description per algorithm
+config is parsed into one checked config per algorithm
 (`ExperimentSpec.runs`).  Each (algorithm, seed) cell runs its description
 at that seed and writes one CSV whose '#' header echoes it; an aggregate
 CSV keyed by queries-over-n bins is rebuilt from the per-run files
@@ -40,10 +40,10 @@ import numpy as np
 
 from . import checks
 from . import problems as prob_mod
-from .optimize import (HyperparamInputs, RunConfig, apply_hyperparams,
+from .optimize import (HyperparamInputs, RunConfig, SgdConfig,
                        data_adaptive_hyperparams, run_sgd,
                        run_sparse_spiderboost, run_spiderboost_dense,
-                       validate_sgd_args, worst_case_hyperparams)
+                       worst_case_hyperparams)
 from .problems import (LeastSquaresProblem, LogisticProblem,
                        MatrixFactorizationProblem, MLPProblem,
                        ProblemConstants, estimate_constants)
@@ -164,8 +164,8 @@ class ExperimentSpec:
     """A validated experiment: its config values, the problem they build,
     the start `x0` and `runs`, one run description per algorithm.  A
     SpiderBoost variant's is its RunConfig (the dense one's at k1=0, k2=d)
-    with the rule's (B, m, eta, T) in place; SGD's is run_sgd's arguments
-    but the seed.  Each is validated once, here; a cell sets the seed."""
+    with the rule's (B, m, eta, T) in place; SGD's is its SgdConfig.  Each
+    is checked when built, here; a cell sets the seed."""
 
     def __init__(self, values: dict):
         self.values = values
@@ -214,34 +214,32 @@ class ExperimentSpec:
         return estimate_constants(self.problem, probes, ref)
 
     def _describe(self, alg: str, rule, consts):
-        """The validated run description of one algorithm."""
+        """The checked config of one algorithm."""
         v, problem = self.values, self.problem
         try:
             if alg == "sgd":
                 steps = v["opt.steps"]
-                args = dict(
-                    eta=v["opt.eta"], b=v["opt.b"],
+                return SgdConfig(
+                    problem=problem, eta=v["opt.eta"], b=v["opt.b"],
                     steps=v["opt.m"] * v["opt.T"] if steps is None else steps,
-                    problem=problem, x0=self.x0, eta_decay=v["opt.eta_decay"],
+                    x0=self.x0, eta_decay=v["opt.eta_decay"],
                     record_grad_norm=v["run.record_grad_norm"],
                     target_grad_norm=v["run.target_grad_norm"])
-                validate_sgd_args(**args)
-                return args
             k1, k2 = ((v["opt.k1"], v["opt.k2"]) if alg == "sparse-spiderboost"
                       else (0, problem.d))
-            cfg = RunConfig(
-                problem=problem, eta=v["opt.eta"], m=v["opt.m"], T=v["opt.T"],
-                B=v["opt.B"], b=v["opt.b"], alpha=v["opt.alpha"], k1=k1, k2=k2,
-                theory=v["run.mode"] == "theory",
+            if rule:  # the rules parameterize the variance-reduced runs only
+                fragment = rule(HyperparamInputs(
+                    epsilon=v["opt.epsilon"], constants=consts, b=v["opt.b"],
+                    k1=k1, k2=k2, d=problem.d, n=problem.n))
+            else:
+                fragment = {key: v[f"opt.{key}"]
+                            for key in ("B", "m", "eta", "T")}
+            return RunConfig(
+                problem=problem, b=v["opt.b"], alpha=v["opt.alpha"], k1=k1,
+                k2=k2, theory=v["run.mode"] == "theory",
                 x0=self.x0, eta_end=v["opt.eta_end"],
                 record_grad_norm=v["run.record_grad_norm"],
-                target_grad_norm=v["run.target_grad_norm"])
-            if rule:  # the rules parameterize the variance-reduced runs only
-                cfg = apply_hyperparams(cfg, rule(HyperparamInputs(
-                    epsilon=v["opt.epsilon"], constants=consts, b=v["opt.b"],
-                    k1=k1, k2=k2, d=problem.d, n=problem.n)))
-            cfg.validate()
-            return cfg
+                target_grad_norm=v["run.target_grad_norm"], **fragment)
         except ValueError as exc:
             raise ConfigError(f"invalid opt.*/run.* values: {exc}") from exc
 
@@ -380,15 +378,14 @@ def _atomic_write(path: str, data: str) -> None:
 # The settings a CSV echoes, per kind of run description.
 _ECHO_KEYS = {RunConfig: ("B", "T", "alpha", "b", "eta", "eta_end", "k1",
                           "k2", "m", "theory"),
-              dict: ("b", "eta", "eta_decay", "steps")}
+              SgdConfig: ("b", "eta", "eta_decay", "steps")}
 
 
 def render_run_csv(run, record, timing: bool) -> str:
     """Per-run CSV of a cell of the run description `run`, with the
     description's settings and the record's algorithm, seed, n and d as
     '#' header comments."""
-    settings = run if isinstance(run, dict) else vars(run)
-    echo = {key: settings[key] for key in _ECHO_KEYS[type(run)]}
+    echo = {key: getattr(run, key) for key in _ECHO_KEYS[type(run)]}
     echo.update(algorithm=record.algorithm, seed=record.seed, n=record.n,
                 d=record.d)
     buf = io.StringIO()
@@ -474,13 +471,14 @@ def build_aggregate(run_paths, bins: int) -> str:
     return buf.getvalue()
 
 
+# Each algorithm's runner, which takes its run description.
+RUNNERS = {"sparse-spiderboost": run_sparse_spiderboost,
+           "spiderboost": run_spiderboost_dense, "sgd": run_sgd}
+
+
 def _execute_run(run, algorithm: str, seed: int):
     """Run one (algorithm, seed) cell from the algorithm's run description."""
-    if algorithm == "sgd":
-        return run_sgd(seed=seed, **run)[1]
-    runner = (run_sparse_spiderboost if algorithm == "sparse-spiderboost"
-              else run_spiderboost_dense)
-    return runner(replace(run, seed=seed))[1]
+    return RUNNERS[algorithm](replace(run, seed=seed))[1]
 
 
 # The experiment's run descriptions in a pool worker, set by _init_worker.
@@ -500,7 +498,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """Run every (algorithm, seed) cell, write per-run CSVs and the
     aggregate.  Returns 0 iff all runs completed without divergence."""
     out_dir = spec["run.out"]
-    os.makedirs(out_dir, exist_ok=True)
+    with _bad_input():
+        os.makedirs(out_dir, exist_ok=True)
     cells = [(alg, seed) for alg in spec.algorithms for seed in spec["run.seeds"]]
     jobs = min(spec["run.jobs"], len(cells))
     records = {}

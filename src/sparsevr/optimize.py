@@ -96,9 +96,11 @@ def _check_target(target_grad_norm: float | None) -> None:
         raise ValueError("target_grad_norm must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Full configuration of one optimizer run."""
+    """Full configuration of one SpiderBoost run, checked when built: a
+    value no run accepts raises ValueError at construction, and so does a
+    `dataclasses.replace` into one."""
 
     problem: FiniteSumProblem
     eta: float
@@ -118,7 +120,7 @@ class RunConfig:
     keep_iterates: bool = False
     target_grad_norm: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         d, n = self.problem.d, self.problem.n
         _check_step("eta", self.eta)
         if self.m < 1 or self.T < 1:
@@ -138,6 +140,39 @@ class RunConfig:
         if self.x0 is not None:
             as_vector(self.x0, d)
         _check_step("eta_end", self.eta_end)
+        _check_target(self.target_grad_norm)
+
+
+@dataclass(frozen=True)
+class SgdConfig:
+    """Full configuration of one plain batch SGD run, checked when built
+    like `RunConfig`.  `eta_decay`, when set, multiplies the learning rate
+    by that factor once per epoch (ceil(n/b) steps); a row is recorded
+    every `record_every` steps (default max(1, steps // 100)) and after
+    the last."""
+
+    problem: FiniteSumProblem
+    eta: float
+    b: int
+    steps: int
+    seed: int = 0
+    x0: np.ndarray | None = None
+    eta_decay: float | None = None
+    record_every: int | None = None
+    record_grad_norm: bool = True
+    target_grad_norm: float | None = None
+
+    def __post_init__(self):
+        _check_step("eta", self.eta)
+        if not 1 <= self.b <= self.problem.n:
+            raise ValueError("need 1 <= b <= n")
+        if self.steps < 1:
+            raise ValueError("steps must be at least 1")
+        if self.x0 is not None:
+            as_vector(self.x0, self.problem.d)
+        _check_step("eta_decay", self.eta_decay)
+        if self.record_every is not None and not self.record_every >= 1:
+            raise ValueError("record_every must be at least 1")
         _check_target(self.target_grad_norm)
 
 
@@ -309,7 +344,6 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     stays here, under the name this module imports, so perfbench's tracer,
     which wraps that name, sees one call per block.
     """
-    cfg.validate()
     prob = cfg.problem
     n, d = prob.n, prob.d
     snap = min(cfg.B, n)
@@ -446,59 +480,30 @@ def run_spiderboost_dense(cfg: RunConfig):
     return _spider_loop(replace(cfg, k1=0, k2=cfg.problem.d), "spiderboost")
 
 
-def validate_sgd_args(eta: float, b: int, steps: int,
-                      problem: FiniteSumProblem, x0: np.ndarray | None = None,
-                      eta_decay: float | None = None,
-                      record_grad_norm: bool = True,
-                      target_grad_norm: float | None = None) -> None:
-    """Raise ValueError unless run_sgd accepts these arguments, which are
-    its own but the seed and record_every."""
-    _check_step("eta", eta)
-    if not 1 <= b <= problem.n:
-        raise ValueError("need 1 <= b <= n")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if x0 is not None:
-        as_vector(x0, problem.d)
-    _check_step("eta_decay", eta_decay)
-    _check_target(target_grad_norm)
-
-
-def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
-            seed: int, x0: np.ndarray | None = None,
-            eta_decay: float | None = None, record_every: int | None = None,
-            record_grad_norm: bool = True,
-            target_grad_norm: float | None = None):
-    """Plain batch SGD baseline; one size-b gradient (b cost units) per step.
-
-    `eta_decay`, when set, multiplies the learning rate by that factor once
-    per epoch (ceil(n/b) steps).
-    """
-    validate_sgd_args(eta, b, steps, problem, x0, eta_decay, record_grad_norm,
-                      target_grad_norm)
-    if record_every is not None and not record_every >= 1:
-        raise ValueError("record_every must be at least 1")
-    n, d = problem.n, problem.d
-    batch_rng = RngStream(seed, STREAM_BATCH)
-    x, loss_ceiling = _start(problem, x0)
-    record = RunRecord(algorithm="sgd", seed=seed, n=n, d=d)
+def run_sgd(cfg: SgdConfig):
+    """Plain batch SGD baseline; one size-b gradient (b cost units) per step."""
+    prob = cfg.problem
+    n, d = prob.n, prob.d
+    batch_rng = RngStream(cfg.seed, STREAM_BATCH)
+    x, loss_ceiling = _start(prob, cfg.x0)
+    record = RunRecord(algorithm="sgd", seed=cfg.seed, n=n, d=d)
     meter = record.meter
-    if record_every is None:
-        record_every = max(1, steps // 100)
-    steps_per_epoch = max(1, math.ceil(n / b))
-    want_norm = record_grad_norm or target_grad_norm is not None
+    record_every = cfg.record_every or max(1, cfg.steps // 100)
+    steps_per_epoch = max(1, math.ceil(n / cfg.b))
+    want_norm = cfg.record_grad_norm or cfg.target_grad_norm is not None
 
     tic = time.perf_counter()
     try:
-        for t in range(1, steps + 1):
-            step_eta = eta if eta_decay is None else eta * eta_decay ** ((t - 1) // steps_per_epoch)
-            idx = sample_batch(n, b, batch_rng)
-            x = x - step_eta * problem.grad_batch(idx, x)
-            meter.charge_sgd(b)
+        for t in range(1, cfg.steps + 1):
+            step_eta = (cfg.eta if cfg.eta_decay is None else
+                        cfg.eta * cfg.eta_decay ** ((t - 1) // steps_per_epoch))
+            idx = sample_batch(n, cfg.b, batch_rng)
+            x = x - step_eta * prob.grad_batch(idx, x)
+            meter.charge_sgd(cfg.b)
             _guard_finite(x)
-            if t % record_every == 0 or t == steps:
+            if t % record_every == 0 or t == cfg.steps:
                 diag_tic = time.perf_counter()
-                loss, grad_norm, _ = _loss_and_norm(problem, x, want_norm,
+                loss, grad_norm, _ = _loss_and_norm(prob, x, want_norm,
                                                     loss_ceiling, f"step {t}")
                 toc = time.perf_counter()
                 record.rows.append(RunRow(
@@ -507,8 +512,8 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
                     wall_ms=(toc - tic) * 1e3,
                     diag_ms=(toc - diag_tic) * 1e3))
                 tic = time.perf_counter()
-                if (target_grad_norm is not None and grad_norm is not None
-                        and grad_norm <= target_grad_norm):
+                if (cfg.target_grad_norm is not None and grad_norm is not None
+                        and grad_norm <= cfg.target_grad_norm):
                     break
     except _Aborted as ab:
         _abort(record, ab)
@@ -517,7 +522,7 @@ def run_sgd(eta: float, b: int, steps: int, problem: FiniteSumProblem,
 
 @dataclass(frozen=True)
 class HyperparamInputs:
-    """Inputs to the two parameter rules."""
+    """Inputs to the two parameter rules, checked when built."""
 
     epsilon: float
     constants: ProblemConstants
@@ -535,6 +540,7 @@ class HyperparamInputs:
                              "underflows to 0 or overflows")
         if self.b < 1 or self.d < 1 or self.n < 1:
             raise ValueError("b, d, n must be positive")
+        SparsityParams(self.k1, self.k2, self.d)  # the sparsity budget
 
 
 def _snapshot_size(raw: float, inp: HyperparamInputs) -> int:
@@ -560,7 +566,6 @@ def _rule(inp: HyperparamInputs, c_b: float, c_t: float,
     """B = ceil(c_b*sigma^2/eps^2 ∧ n), m = ceil(B*d/(b*(k1+k2))),
     eta = sqrt(eta_sq(m))/L, T = ceil(c_t*delta_f/(eta*m*eps^2)): the body
     both parameter rules share."""
-    SparsityParams(inp.k1, inp.k2, inp.d)  # validates the sparsity budget
     c = inp.constants
     big_b = _snapshot_size(c_b * c.sigma2 / inp.epsilon ** 2, inp)
     m = max(1, math.ceil(big_b * inp.d / (inp.b * (inp.k1 + inp.k2))))
@@ -582,9 +587,3 @@ def data_adaptive_hyperparams(inp: HyperparamInputs) -> dict:
     m = ceil(B*d/(b*(k1+k2))), eta = sqrt((b ∧ m)/(3m))/L,
     T = ceil(6*delta_f/(eta*m*eps^2))."""
     return _rule(inp, 3.0, 6.0, lambda m: min(inp.b, m) / (3.0 * m))
-
-
-def apply_hyperparams(cfg: RunConfig, fragment: dict) -> RunConfig:
-    """New config with the calculator outputs (B, m, eta, T) spliced in."""
-    return replace(cfg, B=fragment["B"], m=fragment["m"],
-                   eta=fragment["eta"], T=fragment["T"])

@@ -9,7 +9,8 @@ from sparsevr import checks
 from sparsevr.cli import (PRESETS, ConfigError, _atomic_write, build_aggregate,
                           build_problem, generate_dataset, main, parse_config,
                           read_run_csv, run_experiment)
-from sparsevr.optimize import run_sgd, run_spiderboost_dense
+from sparsevr.optimize import (HyperparamInputs, SgdConfig, run_sgd,
+                               run_spiderboost_dense, worst_case_hyperparams)
 from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
                                gen_low_rank_ratings, load_labeled_dataset)
 
@@ -110,15 +111,27 @@ class TestParseConfig:
         assert spec.problem.n == 500
 
     def test_rule_resolution_produces_fragments(self):
-        spec = parse_config(MINIMAL + "opt.rule = worst-case\n"
-                                      "opt.epsilon = 0.5\n"
-                                      "opt.b = 10\n")
+        settings = ("opt.algorithm = sparse-spiderboost,spiderboost\n"
+                    "opt.b = 10\nopt.alpha = 0.25\nopt.k1 = 3\nopt.k2 = 4\n"
+                    "opt.eta_end = 0.01\nrun.mode = theory\n")
+        spec = parse_config(MINIMAL + settings + "opt.rule = worst-case\n"
+                                                 "opt.epsilon = 0.5\n")
         cfg = spec.runs["sparse-spiderboost"]
-        ruleless = parse_config(MINIMAL + "opt.b = 10\n").runs[
-            "sparse-spiderboost"]
+        ruleless = parse_config(MINIMAL + settings).runs["sparse-spiderboost"]
         assert ((cfg.B, cfg.m, cfg.eta, cfg.T)
                 != (ruleless.B, ruleless.m, ruleless.eta, ruleless.T))
         assert cfg.B >= 10
+        consts = spec._constants()
+        d, n = spec.problem.d, spec.problem.n
+        for alg, (k1, k2) in [("sparse-spiderboost", (3, 4)),
+                              ("spiderboost", (0, d))]:
+            run = spec.runs[alg]
+            rule = worst_case_hyperparams(HyperparamInputs(
+                epsilon=0.5, constants=consts, b=10, k1=k1, k2=k2, d=d, n=n))
+            assert (run.B, run.m, run.eta, run.T) == (
+                rule["B"], rule["m"], rule["eta"], rule["T"])
+            assert (run.b, run.alpha, run.k1, run.k2, run.theory,
+                    run.eta_end) == (10, 0.25, k1, k2, True, 0.01)
 
     def test_rule_solves_reference_once(self, monkeypatch):
         calls = []
@@ -415,7 +428,8 @@ class TestMainEntrypoint:
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         spec = parse_config(text)
-        _, record = run_sgd(0.3, 8, 40, spec.problem, 2, eta_decay=0.5)
+        _, record = run_sgd(SgdConfig(problem=spec.problem, eta=0.3, b=8,
+                                      steps=40, seed=2, eta_decay=0.5))
         csv_text = (out / "sgd_seed2.csv").read_text()
         assert "# steps = 40" in csv_text and "# eta_decay = 0.5" in csv_text
         body = [ln.split(",") for ln in csv_text.splitlines()
@@ -523,6 +537,16 @@ class TestBadInputIsOneLine:
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1
         assert os.listdir(tmp_path) == []
+
+    def test_run_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_bytes(b"not a directory\n")
+        assert main(["run", "--preset", "mlp-blobs", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert out.read_bytes() == b"not a directory\n"
 
     @pytest.mark.parametrize("bad", [
         ["--epsilon", "0", "--L", "1", "--k1", "2", "--k2", "2"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from sparsevr.diagnostics import estimate_estimator_variance, measure_g_G
-from sparsevr.optimize import (HyperparamInputs, RunConfig,
-                               allocate_block_sparsity, apply_hyperparams,
+from sparsevr.optimize import (HyperparamInputs, RunConfig, SgdConfig,
+                               allocate_block_sparsity,
                                data_adaptive_hyperparams, run_sgd,
                                run_sparse_spiderboost, run_spiderboost_dense,
                                worst_case_hyperparams)
@@ -82,21 +83,16 @@ class TestHyperparamRules:
         assert frag["eta"] == pytest.approx(math.sqrt(10.0 / 900.0))
         assert frag["T"] == 19
 
+    # The inputs check their sparsity budget when built, before either rule.
     def test_rejects_k2_zero_with_room(self):
-        inp = HyperparamInputs(epsilon=0.1, constants=self._consts(),
-                               b=10, k1=5, k2=0, d=100, n=100)
-        with pytest.raises(ValueError):
-            worst_case_hyperparams(inp)
-        with pytest.raises(ValueError):
-            data_adaptive_hyperparams(inp)
+        with pytest.raises(ValueError, match="k2=0"):
+            HyperparamInputs(epsilon=0.1, constants=self._consts(),
+                             b=10, k1=5, k2=0, d=100, n=100)
 
-    def test_apply_hyperparams(self):
-        prob = quadratic_problem()
-        cfg = RunConfig(problem=prob, eta=1.0, m=1, T=1, B=4, b=4, k1=0, k2=4)
-        frag = {"B": 4, "m": 3, "eta": 0.25, "T": 7}
-        cfg2 = apply_hyperparams(cfg, frag)
-        assert (cfg2.B, cfg2.m, cfg2.eta, cfg2.T) == (4, 3, 0.25, 7)
-        assert cfg.m == 1  # original untouched
+    def test_rejects_an_empty_budget_when_built(self):
+        with pytest.raises(ValueError, match="k1 \\+ k2"):
+            HyperparamInputs(epsilon=0.1, constants=self._consts(),
+                             b=10, k1=0, k2=0, d=100, n=100)
 
 
 class TestRunConfigValidation:
@@ -104,26 +100,26 @@ class TestRunConfigValidation:
         prob = quadratic_problem()
         with pytest.raises(ValueError):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=2, b=3,
-                      k1=0, k2=4).validate()
+                      k1=0, k2=4)
 
     def test_rejects_bad_modes(self):
         prob = quadratic_problem()
         with pytest.raises(ValueError):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4,
-                      theory="sometimes").validate()
+                      theory="sometimes")
 
     def test_rejects_oversized_sparsity(self):
         prob = quadratic_problem()
         with pytest.raises(ValueError):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2,
-                      k1=3, k2=3).validate()
+                      k1=3, k2=3)
 
     def test_rejects_k2_below_block_count(self):
         xs, labs = gen_class_blobs(10, 3, 2, seed=20)
         prob = MLPProblem([3, 4, 2], xs, labs)
         with pytest.raises(ValueError, match="k2=1 is too small"):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2,
-                      k1=2, k2=1).validate()
+                      k1=2, k2=1)
 
     @pytest.mark.parametrize("field, value", [
         pytest.param("target_grad_norm", math.nan, id="nan"),
@@ -135,19 +131,42 @@ class TestRunConfigValidation:
         prob = quadratic_problem()
         cfg = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4)
         with pytest.raises(ValueError, match=field):
-            replace(cfg, **{field: value}).validate()
+            replace(cfg, **{field: value})
 
     def test_rejects_capture_at_the_identity(self):
         # The identity keeps no memory to score a top-k1 set with.
         prob = quadratic_problem()
         sparse = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=1,
                            k2=1, record_capture=True)
-        sparse.validate()
-        full = replace(sparse, k2=3)
-        for runner, cfg in [(run_sparse_spiderboost, full),
-                            (run_spiderboost_dense, sparse)]:
-            with pytest.raises(ValueError, match="record_capture"):
-                runner(cfg)
+        with pytest.raises(ValueError, match="record_capture"):
+            replace(sparse, k2=3)
+        with pytest.raises(ValueError, match="record_capture"):
+            run_spiderboost_dense(sparse)
+
+
+class TestConfigsAreFrozen:
+    """Both configs check themselves when built, by replace too."""
+
+    def test_replace_into_a_bad_value_raises(self):
+        prob = quadratic_problem()
+        run = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4)
+        sgd = SgdConfig(problem=prob, eta=0.1, b=2, steps=3)
+        with pytest.raises(ValueError, match="need b <= min"):
+            replace(run, B=1)
+        with pytest.raises(ValueError, match="need 1 <= b <= n"):
+            replace(sgd, b=5)
+        with pytest.raises(ValueError, match="record_every"):
+            replace(sgd, record_every=0)
+
+    @pytest.mark.parametrize("kind", ["run", "sgd"])
+    def test_fields_cannot_be_assigned(self, kind):
+        prob = quadratic_problem()
+        cfg = (RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4)
+               if kind == "run" else SgdConfig(problem=prob, eta=0.1, b=2,
+                                               steps=3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.eta = 1e9
+        assert cfg.eta == 0.1
 
 
 class TestQuadraticContraction:
@@ -668,9 +687,9 @@ class TestDiagnosticsTakeOnePass:
         def run(prob, record_grad_norm):
             x0 = 0.3 * np.random.default_rng(50).standard_normal(prob.d)
             if algorithm == "sgd":
-                return run_sgd(eta=0.05, b=3, steps=12, problem=prob, seed=4,
-                               x0=x0, record_every=4,
-                               record_grad_norm=record_grad_norm)
+                return run_sgd(SgdConfig(
+                    problem=prob, eta=0.05, b=3, steps=12, seed=4, x0=x0,
+                    record_every=4, record_grad_norm=record_grad_norm))
             cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3,
                             B=min(12, prob.n), b=min(3, prob.n), k1=k1,
                             k2=k2, seed=3, x0=x0,
@@ -703,10 +722,10 @@ class TestDiagnosticsTakeOnePass:
         sgd = dict(eta=1e8, b=4, steps=200, problem=LeastSquaresProblem(a2, b2),
                    seed=6, record_every=1, record_grad_norm=True)
         fused = [trajectory(*run_sparse_spiderboost(cfg)),
-                 trajectory(*run_sgd(**sgd))]
+                 trajectory(*run_sgd(SgdConfig(**sgd)))]
         unfused(monkeypatch, cfg.problem, sgd["problem"])
         separate = [trajectory(*run_sparse_spiderboost(cfg)),
-                    trajectory(*run_sgd(**sgd))]
+                    trajectory(*run_sgd(SgdConfig(**sgd)))]
         assert fused == separate
         assert all(t[2] and t[3].startswith("divergence") for t in fused)
 
@@ -816,8 +835,8 @@ class TestSgd:
     def test_exact_contraction_full_batch(self):
         prob = quadratic_problem()
         x0 = np.array([1.0, -2.0, 4.0, -8.0])
-        x_out, record = run_sgd(eta=0.5, b=4, steps=6, problem=prob, seed=0,
-                                x0=x0, record_every=1)
+        x_out, record = run_sgd(SgdConfig(problem=prob, eta=0.5, b=4, steps=6,
+                                          seed=0, x0=x0, record_every=1))
         assert np.array_equal(x_out, 0.5 ** 6 * x0)
         assert record.meter.units == Fraction(6 * 4)
 
@@ -825,8 +844,9 @@ class TestSgd:
         # full batches halve x, and grad f(x) = x: ||grad|| = sqrt(85) / 2^t
         prob = quadratic_problem()
         x0 = np.array([1.0, -2.0, 4.0, -8.0])
-        x_out, record = run_sgd(eta=0.5, b=4, steps=10, problem=prob, seed=0,
-                                x0=x0, record_every=1, target_grad_norm=1.0)
+        x_out, record = run_sgd(SgdConfig(
+            problem=prob, eta=0.5, b=4, steps=10, seed=0, x0=x0,
+            record_every=1, target_grad_norm=1.0))
         norms = [row.grad_norm for row in record.rows]
         assert len(norms) == 4 < 10
         assert norms[-1] <= 1.0 < min(norms[:-1])
@@ -835,7 +855,8 @@ class TestSgd:
 
     def test_zero_gradient_start_is_fixed_point(self):
         prob = quadratic_problem()
-        x_out, _ = run_sgd(eta=0.5, b=4, steps=5, problem=prob, seed=1)
+        x_out, _ = run_sgd(SgdConfig(problem=prob, eta=0.5, b=4, steps=5,
+                                     seed=1))
         assert np.array_equal(x_out, np.zeros(4))
 
     def test_first_step_matches_dense_variance_reduction(self):
@@ -844,8 +865,8 @@ class TestSgd:
         prob = LeastSquaresProblem(a, b)
         eta = 0.2
         expect = -eta * prob.full_grad(np.zeros(5))
-        _, sgd_rec = run_sgd(eta=eta, b=prob.n, steps=1, problem=prob, seed=3,
-                             record_every=1)
+        _, sgd_rec = run_sgd(SgdConfig(problem=prob, eta=eta, b=prob.n,
+                                       steps=1, seed=3, record_every=1))
         cfg = RunConfig(problem=prob, eta=eta, m=1, T=1, B=prob.n, b=prob.n,
                         k1=0, k2=5, seed=3, keep_iterates=True)
         _, sb_rec = run_spiderboost_dense(cfg)
@@ -855,10 +876,10 @@ class TestSgd:
     def test_eta_decay_reduces_late_steps(self):
         a, b, _ = gen_gaussian_ls(16, 4, seed=21)
         prob = LeastSquaresProblem(a, b)
-        _, rec_flat = run_sgd(eta=0.3, b=4, steps=40, problem=prob, seed=4,
-                              record_every=40)
-        _, rec_decay = run_sgd(eta=0.3, b=4, steps=40, problem=prob, seed=4,
-                               eta_decay=0.5, record_every=40)
+        flat = SgdConfig(problem=prob, eta=0.3, b=4, steps=40, seed=4,
+                         record_every=40)
+        _, rec_flat = run_sgd(flat)
+        _, rec_decay = run_sgd(replace(flat, eta_decay=0.5))
         assert rec_flat.rows[-1].loss != rec_decay.rows[-1].loss
 
     @pytest.mark.parametrize("bad", [
@@ -869,7 +890,7 @@ class TestSgd:
     def test_rejects_bad_arguments(self, bad):
         kw = dict(eta=0.3, b=2, steps=4, problem=quadratic_problem(), seed=0)
         with pytest.raises(ValueError):
-            run_sgd(**{**kw, **bad})
+            SgdConfig(**{**kw, **bad})
 
     @pytest.mark.parametrize("record_every", [0, -2])
     def test_rejects_record_every_below_one_before_the_first_step(
@@ -883,8 +904,8 @@ class TestSgd:
 
         prob.grad_batch = grad_batch
         with pytest.raises(ValueError, match="record_every"):
-            run_sgd(eta=0.3, b=2, steps=4, problem=prob, seed=0,
-                    record_every=record_every)
+            SgdConfig(problem=prob, eta=0.3, b=2, steps=4, seed=0,
+                      record_every=record_every)
         assert calls == []
 
 
@@ -902,8 +923,8 @@ class TestDivergenceGuard:
     def test_sgd_guard(self):
         a, b, _ = gen_gaussian_ls(20, 5, seed=23)
         prob = LeastSquaresProblem(a, b)
-        _, record = run_sgd(eta=1e8, b=4, steps=200, problem=prob, seed=6,
-                            record_every=1)
+        _, record = run_sgd(SgdConfig(problem=prob, eta=1e8, b=4, steps=200,
+                                      seed=6, record_every=1))
         assert record.aborted
 
     @pytest.mark.parametrize("runner", ["dense", "sparse"])
@@ -1002,8 +1023,9 @@ class TestLazyCeiling:
 
         monkeypatch.setattr(prob, "full_loss", full_loss)
         if algorithm == "sgd":
-            _, rec = run_sgd(eta=0.05, b=3, steps=12, problem=prob, seed=4,
-                             x0=x0, record_every=4, record_grad_norm=False)
+            _, rec = run_sgd(SgdConfig(
+                problem=prob, eta=0.05, b=3, steps=12, seed=4, x0=x0,
+                record_every=4, record_grad_norm=False))
         else:
             cfg = RunConfig(problem=prob, eta=0.1, m=4, T=3, B=12, b=3,
                             k1=2, k2=2, seed=3, x0=x0, record_grad_norm=False)
