@@ -338,17 +338,15 @@ def build_problem(v: dict):
         return MatrixFactorizationProblem(rows, cols, vals, v["problem.rows"],
                                           v["problem.cols"], v["problem.rank"],
                                           ridge)
-    if kind in ("ls-file", "logistic-file"):
+    if kind in ("ls-file", "logistic-file", "ratings-file"):
         need("problem.path")
+        if kind == "ratings-file":
+            return MatrixFactorizationProblem(
+                *prob_mod.load_ratings_dataset(v["problem.path"]),
+                v["problem.rank"], ridge)
         labels, feats = prob_mod.load_labeled_dataset(v["problem.path"])
-        if kind == "ls-file":
-            return LeastSquaresProblem(feats, labels, ridge)
-        return LogisticProblem(feats, labels, ridge)
-    if kind == "ratings-file":
-        need("problem.path")
-        return MatrixFactorizationProblem(
-            *prob_mod.load_ratings_dataset(v["problem.path"]),
-            v["problem.rank"], ridge)
+        model = LeastSquaresProblem if kind == "ls-file" else LogisticProblem
+        return model(feats, labels, ridge)
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 

@@ -96,11 +96,11 @@ def _check_target(target_grad_norm: float | None) -> None:
         raise ValueError("target_grad_norm must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Full configuration of one SpiderBoost run, checked when built: a
-    value no run accepts raises ValueError at construction, and so does a
-    `dataclasses.replace` into one."""
+    """Full configuration of one SpiderBoost run, checked when built (by
+    `dataclasses.replace` too): a value no run accepts raises ValueError.
+    Configs compare and hash by identity, as their problem and `x0` do."""
 
     problem: FiniteSumProblem
     eta: float
@@ -143,7 +143,7 @@ class RunConfig:
         _check_target(self.target_grad_norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SgdConfig:
     """Full configuration of one plain batch SGD run, checked when built
     like `RunConfig`.  `eta_decay`, when set, multiplies the learning rate

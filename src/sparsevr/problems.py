@@ -52,7 +52,9 @@ meter; in wall-clock it still runs the dense kernel.
 Also here: closed-form or estimated problem constants (smoothness L,
 gradient second-moment bound sigma^2, initial suboptimality delta_f), the
 memory-bounded chunking of per-component sweeps, seeded synthetic dataset
-generators, and the text dataset format.
+generators, and the text dataset format that numpy's text I/O reads and
+writes: whitespace-separated samples, one per line, label or rating first,
+floats as "%.17g", after an optional '# shape R C' line for ratings.
 
 Generators build in place; full-data transients are TILE_FLOATS row
 blocks.  A generator scales and shifts its standard-normal draw where it
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import abc
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +115,7 @@ def _row_blocks(n: int, width: int):
     values per row: max(1, TILE_FLOATS // width) rows each, the last may be
     shorter."""
     rows = max(1, TILE_FLOATS // max(1, width))
-    return (slice(lo, lo + rows) for lo in range(0, n, rows))
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -751,78 +754,76 @@ def gen_low_rank_ratings(n_rows: int, n_cols: int, rank: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Text dataset format: whitespace-separated, one sample per line, label first
+# Text dataset format, read by numpy's loadtxt and written by its savetxt:
+# one sample per line, whitespace-separated, label or rating first, floats
+# as "%.17g"; a ratings file may open with a '# shape R C' line.
 # ---------------------------------------------------------------------------
 
+def _read_table(path, dtype, shape_line: bool = False):
+    """(table, shape): the rows of `path`, blank lines skipped, as a table
+    of `dtype` (a record per row, else 2-D), and the leading '# shape R C'
+    line's shape if `shape_line`, else None.  A ValueError names the file."""
+    shape = None
+    with open(path, encoding="utf-8") as fh:
+        head = fh.readline().split() if shape_line else []
+        if head[:1] == ["#"]:
+            if (len(head) != 4 or head[1] != "shape"
+                    or not all(v.isdecimal() for v in head[2:])):
+                raise ValueError(f"{path}:1: expected '# shape R C'")
+            shape = int(head[2]), int(head[3])
+        else:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 parses an integer from "3.0" with a warning
+                warnings.simplefilter("error", DeprecationWarning)
+                warnings.simplefilter("ignore", UserWarning)  # no rows: see below
+                table = np.loadtxt(fh, dtype=dtype, comments=None,
+                                   ndmin=1 if np.dtype(dtype).names else 2)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if table.size == 0:
+        raise ValueError(f"{path}: empty dataset")
+    return table, shape
+
+
 def save_labeled_dataset(path, labels, features):
-    """Write 'label f1 ... fd' lines."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    """Write 'label f1 ... fd' lines, one row block at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for lab, row in zip(labels, features):
-            fh.write("%.17g " % lab + " ".join("%.17g" % v for v in row) + "\n")
+        for s in _row_blocks(len(labels), np.shape(features)[1] + 1):
+            np.savetxt(fh, np.column_stack((labels[s], features[s])), "%.17g")
 
 
 def load_labeled_dataset(path):
-    """Read (labels, features) from the text format."""
-    labels, rows = [], []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{ln}: need a label and at least one feature")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ValueError(f"{path}:{ln}: inconsistent column count")
-            labels.append(float(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    if not rows:
-        raise ValueError(f"{path}: empty dataset")
-    return np.array(labels), np.array(rows)
+    """Read C-contiguous float64 (labels, features).  The features stay in
+    the table: each row block in turn moves left over the label column."""
+    table, _ = _read_table(path, np.float64)
+    n, width = table.shape
+    if width < 2:
+        raise ValueError(f"{path}: need a label and at least one feature")
+    labels, flat, d = table[:, 0].copy(), table.reshape(-1), width - 1
+    for s in _row_blocks(n, width):
+        flat[s.start * d:s.stop * d] = table[s, 1:].ravel()
+    return labels, flat[:n * d].reshape(n, d)
 
 
 def save_ratings_dataset(path, rows, cols, vals, n_rows, n_cols):
-    """Write a '# shape R C' line, then 'rating u v' lines (rating first,
-    per the labeled format)."""
+    """Write a '# shape R C' line, then 'rating u v' lines."""
+    table = np.rec.fromarrays((vals, rows, cols))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# shape %d %d\n" % (n_rows, n_cols))
-        for r, u, v in zip(vals, rows, cols):
-            fh.write("%.17g %d %d\n" % (r, u, v))
+        np.savetxt(fh, table, fmt=("%.17g", "%d", "%d"),
+                   header="shape %d %d" % (n_rows, n_cols), comments="# ")
 
 
 def load_ratings_dataset(path):
-    """Read (rows, cols, vals, R, C) from 'rating u v' lines.  R x C is the
-    shape on a leading '# shape R C' line, else the largest indices + 1."""
-    rows, cols, vals = [], [], []
-    shape = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if ln == 1 and parts[0] == "#":
-                if len(parts) != 4 or parts[1] != "shape":
-                    raise ValueError(f"{path}:1: expected '# shape R C'")
-                shape = (int(parts[2]), int(parts[3]))
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected 'rating u v'")
-            vals.append(float(parts[0]))
-            cols_v = int(parts[2])
-            rows_v = int(parts[1])
-            if rows_v < 0 or cols_v < 0:
-                raise ValueError(f"{path}:{ln}: negative index")
-            rows.append(rows_v)
-            cols.append(cols_v)
-    if not vals:
-        raise ValueError(f"{path}: empty dataset")
-    seen = (max(rows) + 1, max(cols) + 1)
-    shape = shape or seen
-    if seen[0] > shape[0] or seen[1] > shape[1]:
+    """Read C-contiguous (rows, cols, vals) and the shape R, C: the
+    header's, else the largest indices + 1."""
+    table, shape = _read_table(path, [("rating", "f8"), ("u", "i8"),
+                                      ("v", "i8")], shape_line=True)
+    rows, cols, vals = (table[f].copy() for f in ("u", "v", "rating"))
+    if rows.min() < 0 or cols.min() < 0:
+        raise ValueError(f"{path}: negative index")
+    shape = shape or (int(rows.max()) + 1, int(cols.max()) + 1)
+    if rows.max() >= shape[0] or cols.max() >= shape[1]:
         raise ValueError(f"{path}: an index exceeds the header shape {shape}")
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(vals), *shape)
+    return rows, cols, vals, *shape

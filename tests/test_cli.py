@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import BAD_LABELED_FILES, BAD_RATINGS_FILES
 
 from sparsevr import checks
 from sparsevr.cli import (PRESETS, ConfigError, _atomic_write, build_aggregate,
@@ -231,6 +232,51 @@ class TestGenerateDataset:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ConfigError):
             generate_dataset("mystery", {}, seed=0, path=str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gaussian-ls", {"n": 30, "d": 5, "signal": 1.0, "noise": 0.1}),
+        ("planted-sparse-ls", {"n": 30, "d": 5, "s_active": 2, "tau": 0.1,
+                               "signal": 1.0, "noise": 0.05}),
+        ("logistic-blobs", {"n": 30, "d": 5, "separation": 3.0}),
+        ("low-rank-ratings", {"rows": 9, "cols": 7, "rank": 3,
+                              "density": 0.5, "noise": 0.1}),
+    ])
+    def test_writes_the_percent_format_join(self, tmp_path, kind, params):
+        path = tmp_path / "data.txt"
+        generate_dataset(kind, params, seed=11, path=str(path))
+        values = {f"problem.{key}": val for key, val in params.items()}
+        values.update({"problem.kind": kind, "problem.seed": 11,
+                       "problem.ridge": 0.0})
+        problem = build_problem(values)
+        if kind == "low-rank-ratings":
+            lines = ["# shape %d %d" % (problem.n_rows, problem.n_cols)]
+            lines += ["%.17g %d %d" % row for row in
+                      zip(problem.vals, problem.rows, problem.cols)]
+        else:
+            lines = [" ".join("%.17g" % v for v in (t, *row))
+                     for t, row in zip(problem.targets, problem.A)]
+        assert path.read_bytes() == "".join(s + "\n" for s in lines).encode()
+
+
+class TestBadDatasetFiles:
+    """A dataset file the format rejects is a config error, not a crash."""
+
+    @pytest.mark.parametrize("kind", ["ls-file", "logistic-file"])
+    @pytest.mark.parametrize("name", sorted(BAD_LABELED_FILES))
+    def test_labeled(self, tmp_path, kind, name):
+        path = tmp_path / "bad.txt"
+        path.write_text(BAD_LABELED_FILES[name])
+        with pytest.raises(ConfigError):
+            parse_config(f"problem.kind = {kind}\nproblem.path = {path}\n"
+                         "opt.B = 1\nopt.b = 1\n")
+
+    @pytest.mark.parametrize("name", sorted(BAD_RATINGS_FILES))
+    def test_ratings(self, tmp_path, name):
+        path = tmp_path / "bad.txt"
+        path.write_text(BAD_RATINGS_FILES[name])
+        with pytest.raises(ConfigError):
+            parse_config(f"problem.kind = ratings-file\nproblem.path = {path}\n"
+                         "problem.rank = 2\nopt.B = 1\nopt.b = 1\n")
 
 
 class TestRunExperiment:

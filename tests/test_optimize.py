@@ -168,6 +168,23 @@ class TestConfigsAreFrozen:
             cfg.eta = 1e9
         assert cfg.eta == 0.1
 
+    @pytest.mark.parametrize("kind", ["run", "sgd"])
+    def test_configs_with_arrays_compare_and_hash(self, kind):
+        prob = quadratic_problem()
+
+        def build():
+            if kind == "run":
+                return RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2,
+                                 k1=0, k2=4, x0=np.ones(4))
+            return SgdConfig(problem=prob, eta=0.1, b=2, steps=3,
+                             x0=np.ones(4))
+
+        first, second = build(), build()
+        assert first == first
+        assert first != second
+        keyed = {first: 1, second: 2}
+        assert (keyed[first], keyed[second]) == (1, 2)
+
 
 class TestQuadraticContraction:
     def test_exact_linear_contraction(self):

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import fd_grad, long_gradient_descent
+from conftest import (BAD_LABELED_FILES, BAD_RATINGS_FILES, fd_grad,
+                      long_gradient_descent)
 
 from sparsevr import problems
 from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
@@ -912,6 +914,132 @@ class TestDatasetIO:
         path.write_text("1.0 2.0 3.0\n1.0 2.0\n")
         with pytest.raises(ValueError):
             load_labeled_dataset(path)
+
+
+class TestDatasetFormat:
+    """What the text format accepts and rejects, and the arrays it gives."""
+
+    @pytest.mark.parametrize("text, labels, feats", [
+        ("\n1 2 3\n\n  \t\n4 5 6\n\n", [1, 4], [[2, 3], [5, 6]]),
+        ("1\t2 3\r\n4 5\t6\r\n", [1, 4], [[2, 3], [5, 6]]),
+        ("-1.5 2e-3 3\n", [-1.5], [[2e-3, 3]]),
+        ("1 2 3\n4 5 6", [1, 4], [[2, 3], [5, 6]]),
+    ], ids=["blank lines", "crlf and tabs", "one row", "no final newline"])
+    def test_labeled_accepts(self, tmp_path, text, labels, feats):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode())
+        got_labels, got_feats = load_labeled_dataset(path)
+        np.testing.assert_array_equal(got_labels, labels)
+        np.testing.assert_array_equal(got_feats, feats)
+        assert got_labels.shape == (len(labels),)
+        assert got_feats.shape == np.shape(feats)
+        for arr in (got_labels, got_feats):
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("text, shape", [
+        ("# shape 5 4\n1.5 3 0\n2.5 0 1\n", (5, 4)),
+        ("1.5 3 0\n2.5 0 1\n", (4, 2)),
+        ("# shape 5 4\n\n1.5 3 0\n\n \n2.5 0 1\n\n", (5, 4)),
+        ("# shape 5 4\r\n1.5\t3 0\r\n2.5 0\t1\r\n", (5, 4)),
+        ("  #  shape\t5  4 \n1.5 3 0\n2.5 0 1", (5, 4)),
+    ], ids=["header", "no header", "blank lines", "crlf and tabs",
+            "spaced header"])
+    def test_ratings_accepts(self, tmp_path, text, shape):
+        path = tmp_path / "ratings.txt"
+        path.write_bytes(text.encode())
+        rows, cols, vals, n_rows, n_cols = load_ratings_dataset(path)
+        np.testing.assert_array_equal(rows, [3, 0])
+        np.testing.assert_array_equal(cols, [0, 1])
+        np.testing.assert_array_equal(vals, [1.5, 2.5])
+        assert (n_rows, n_cols) == shape
+        assert type(n_rows) is int and type(n_cols) is int
+        for arr, dtype in ((rows, np.int64), (cols, np.int64),
+                           (vals, np.float64)):
+            assert arr.dtype == dtype and arr.shape == (2,)
+            assert arr.flags.c_contiguous
+
+    def test_ratings_one_row(self, tmp_path):
+        path = tmp_path / "ratings.txt"
+        path.write_text("-0.25 2 1\n")
+        rows, cols, vals, n_rows, n_cols = load_ratings_dataset(path)
+        assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([2], [1], [-0.25])
+        assert (n_rows, n_cols) == (3, 2)
+
+    @pytest.mark.parametrize("name", sorted(BAD_LABELED_FILES))
+    def test_labeled_rejects(self, tmp_path, name):
+        path = tmp_path / "bad.txt"
+        path.write_text(BAD_LABELED_FILES[name])
+        with pytest.raises(ValueError):
+            load_labeled_dataset(path)
+
+    @pytest.mark.parametrize("name", sorted(BAD_RATINGS_FILES))
+    def test_ratings_rejects(self, tmp_path, name):
+        path = tmp_path / "bad.txt"
+        path.write_text(BAD_RATINGS_FILES[name])
+        with pytest.raises(ValueError):
+            load_ratings_dataset(path)
+
+    def test_problems_take_the_loaded_arrays_without_a_copy(self, tmp_path):
+        a, b, _ = gen_gaussian_ls(12, 3, seed=37)
+        path = tmp_path / "ls.txt"
+        save_labeled_dataset(path, b, a)
+        labels, feats = load_labeled_dataset(path)
+        problem = LeastSquaresProblem(feats, labels)
+        assert np.shares_memory(problem.A, feats)
+        assert np.shares_memory(problem.targets, labels)
+        rows, cols, vals, _, _ = gen_low_rank_ratings(5, 6, 2, seed=38)
+        path = tmp_path / "ratings.txt"
+        save_ratings_dataset(path, rows, cols, vals, 5, 6)
+        loaded = load_ratings_dataset(path)
+        problem = MatrixFactorizationProblem(*loaded, rank=2)
+        for mine, theirs in zip((problem.rows, problem.cols, problem.vals),
+                                loaded):
+            assert np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("tile", [1, 5, 8, 2 ** 17])
+    def test_labeled_loads_across_row_blocks(self, tmp_path, monkeypatch,
+                                             tile):
+        # width 4: row blocks of 1, 1, 2 and all 7 rows
+        monkeypatch.setattr(problems, "TILE_FLOATS", tile)
+        a, b, _ = gen_gaussian_ls(7, 3, seed=39)
+        path = tmp_path / "ls.txt"
+        save_labeled_dataset(path, b, a)
+        labels, feats = load_labeled_dataset(path)
+        np.testing.assert_array_equal(labels, b)
+        np.testing.assert_array_equal(feats, a)
+        assert feats.flags.c_contiguous
+
+    def test_labeled_load_holds_one_table(self, tmp_path, monkeypatch):
+        # The features move over the label column in place, one row block
+        # at a time: a copy of the data would double the peak.
+        monkeypatch.setattr(problems, "TILE_FLOATS", 2 ** 12)
+        a, b, _ = gen_gaussian_ls(500, 100, seed=40)
+        path = tmp_path / "ls.txt"
+        save_labeled_dataset(path, b, a)
+        peak, (labels, feats) = traced_peak(lambda: load_labeled_dataset(path))
+        np.testing.assert_array_equal(feats, a)
+        table_bytes = 500 * 101 * 8
+        assert peak < 1.5 * table_bytes + problems.TILE_FLOATS * 8
+
+    @pytest.mark.parametrize("load", [load_labeled_dataset,
+                                      load_ratings_dataset])
+    def test_a_parser_deprecation_is_a_value_error(self, tmp_path,
+                                                   monkeypatch, load):
+        # numpy < 2 parses an integer from "3.0" and warns: the loaders
+        # must reject it on every supported numpy.
+        real = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "data.txt"
+        path.write_text("1.5 3 0\n")
+        with pytest.raises(ValueError, match="deprecated"):
+            load(path)
 
 
 class TestGenerators:
