@@ -36,6 +36,15 @@ where nu changes everywhere, rebuilds the step only.  Each entry gets the
 same IEEE operations as when both are formed from nu afresh, so the step
 costs one pass over d (`x - step`) and the EMA two.
 
+A snapshot replaces nu, so the loop drops the outgoing nu before the
+snapshot pass, and the outgoing and the new nu are never alive together:
+the pass starts with x, the step and, on the sparse path, the memory and
+its increment.  The step and the increment stay allocated across the
+pass, since the loop rewrites them in place right after it: freeing
+either one as well, and allocating it again after the pass, raised
+mlp-wide's peak RSS above that of dropping nu alone, because the new
+buffer lands elsewhere in glibc's heap.
+
 Diagnostics take one data pass per outer loop (and per SGD checkpoint):
 the fused `loss_grad_batch` when a gradient norm is recorded or targeted,
 `full_loss` otherwise; a capture probe reuses the fused gradient at the
@@ -65,7 +74,7 @@ from .diagnostics import QueryMeter, entropy_bits, measure_g_G
 from .problems import FiniteSumProblem, ProblemConstants
 from .sampling import (STREAM_BATCH, STREAM_CAPTURE, STREAM_GEOM,
                        STREAM_OPERATOR, STREAM_OUTPUT, RngStream,
-                       draw_geometric_many, sample_batch)
+                       draw_geometric_many, geometric_ratio, sample_batch)
 from .sparsity import SparsityParams, draw_support, select_top_k1, slot_scale
 from .vecops import as_vector
 
@@ -137,6 +146,8 @@ class RunConfig:
                              "operator keeps no memory to score a top-k1 set")
         if not isinstance(self.theory, bool):
             raise ValueError("theory must be True or False")
+        if self.theory:
+            geometric_ratio(self.m)  # Geom(m) must have a finite draw
         if self.x0 is not None:
             as_vector(self.x0, d)
         _check_step("eta_end", self.eta_end)
@@ -380,6 +391,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
         for j in range(1, cfg.T + 1):
             tic = time.perf_counter()
             i_snap = sample_batch(n, snap, batch_rng)
+            nu = None  # the stale direction goes before the pass replaces it
             nu = prob.grad_batch(i_snap, x)
             step_eta = None
             if not identity:

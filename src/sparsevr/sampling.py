@@ -139,13 +139,28 @@ def sample_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     return rng.subset(n, size)
 
 
-def draw_geometric_many(m: float, rng: RngStream, count: int) -> np.ndarray:
-    """`count` draws of N ~ Geom(m): P(N=k) = gamma^k (1-gamma) on
-    {0, 1, ...} with gamma = m/(m+1), so E N = m; via inverse CDF."""
+def geometric_ratio(m: float) -> float:
+    """gamma = m/(m+1), the ratio of successive Geom(m) masses.  ValueError
+    unless m > 0 and gamma rounds below 1: at gamma = 1 every draw would be
+    log(u)/0, which no int64 holds."""
     if not m > 0:
         raise ValueError("mean m must be positive")
+    try:
+        gamma = m / (m + 1.0)
+    except OverflowError:  # an int beyond the float range
+        gamma = 1.0
+    if not gamma < 1.0:
+        raise ValueError("mean m is too large: m/(m+1) rounds to 1")
+    return gamma
+
+
+def draw_geometric_many(m: float, rng: RngStream, count: int) -> np.ndarray:
+    """`count` draws of N ~ Geom(m): P(N=k) = gamma^k (1-gamma) on
+    {0, 1, ...} with gamma = `geometric_ratio(m)`, so E N = m; via inverse
+    CDF."""
+    gamma = geometric_ratio(m)
     u = 1.0 - rng.random(count)
-    return np.floor(np.log(u) / math.log(m / (m + 1.0))).astype(np.int64)
+    return np.floor(np.log(u) / math.log(gamma)).astype(np.int64)
 
 
 def check_geom_lemma(m: float, sequence, trials: int, rng: RngStream):

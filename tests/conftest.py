@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from sparsevr.checks import fd_grad  # noqa: F401  (imported by the tests)
@@ -13,6 +15,17 @@ def long_gradient_descent(problem, x0=None, tol=1e-8, max_iter=500_000):
             break
         x = x - g / lip
     return x
+
+
+def traced_peak(fn):
+    """(bytes traced at the peak of fn(), its result); numpy reports its
+    array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 # Dataset files that the text format rejects, by name: each must raise

@@ -634,3 +634,18 @@ class TestBadInputIsOneLine:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "underflows" in err
         assert not out.exists()
+
+    def test_theory_run_with_no_finite_geometric_draw_exit_2(self, tmp_path,
+                                                           capsys):
+        # m/(m+1) rounds to 1 at m = 10**16, so Geom(m) has no finite draw.
+        cfg = tmp_path / "bad.txt"
+        out = tmp_path / "never"
+        cfg.write_text(MINIMAL + "opt.m = 10000000000000000\n"
+                                 "run.mode = theory\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert "m/(m+1) rounds to 1" in captured.err
+        assert not out.exists()

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from sparsevr.diagnostics import estimate_estimator_variance, measure_g_G
 from sparsevr.optimize import (HyperparamInputs, RunConfig, SgdConfig,
@@ -107,6 +109,15 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4,
                       theory="sometimes")
+
+    def test_rejects_a_theory_m_with_no_finite_geometric_draw(self):
+        # m/(m+1) rounds to 1, so every Geom(m) draw would be int64's
+        # minimum and no inner step would run; m steps are still a config.
+        prob = quadratic_problem()
+        cfg = RunConfig(problem=prob, eta=0.1, m=10**16, T=1, B=4, b=2,
+                        k1=0, k2=4)
+        with pytest.raises(ValueError, match="rounds to 1"):
+            replace(cfg, theory=True)
 
     def test_rejects_oversized_sparsity(self):
         prob = quadratic_problem()
@@ -617,6 +628,35 @@ class TestIdentityKeepsNoMemory:
             assert same_bits(i_loop, i_ref) and same_bits(x_loop, x_ref)
         assert all(map(same_bits, record.iterates, want))
         assert same_bits(x_out, want[-1])
+
+
+class TestSnapshotWorkingSet:
+    """A snapshot pass starts without the direction it replaces: at its
+    entry the loop holds x, the step and, on the sparse path, the memory
+    and its increment, and no fifth d-vector."""
+
+    @pytest.mark.parametrize("runner, held", [
+        (run_sparse_spiderboost, 4), (run_spiderboost_dense, 2)],
+        ids=["sparse", "dense"])
+    def test_held_d_vectors_at_each_snapshot(self, monkeypatch, runner, held):
+        xs, labels = gen_class_blobs(40, 200, 8, seed=5)
+        prob = MLPProblem([200, 96, 8], xs, labels)   # d = 20,072
+        cfg = RunConfig(problem=prob, eta=0.05, m=3, T=3, B=prob.n, b=4,
+                        k1=100, k2=100, seed=2,
+                        x0=0.1 * np.random.default_rng(9).standard_normal(prob.d),
+                        record_grad_norm=False)
+        entry_bytes, real_grad = [], prob.grad_batch
+
+        def grad(idx, x):
+            if len(idx) == cfg.B:   # bytes the run holds as a snapshot starts
+                entry_bytes.append(tracemalloc.get_traced_memory()[0])
+            return real_grad(idx, x)
+
+        monkeypatch.setattr(prob, "grad_batch", grad)
+        _, (_, record) = traced_peak(lambda: runner(cfg))
+        assert not record.aborted
+        assert len(entry_bytes) == cfg.T
+        assert max(entry_bytes) <= (held + 0.5) * prob.d * 8
 
 
 class TestEveryGradientIsCharged:

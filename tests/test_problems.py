@@ -4,13 +4,12 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from conftest import (BAD_LABELED_FILES, BAD_RATINGS_FILES, fd_grad,
-                      long_gradient_descent)
+                      long_gradient_descent, traced_peak)
 
 from sparsevr import problems
 from sparsevr.problems import (LeastSquaresProblem, LogisticProblem,
@@ -33,17 +32,6 @@ def all_desk_problems():
     rows, cols, vals, _, _ = gen_low_rank_ratings(6, 5, 2, seed=4, density=0.5)
     mf = MatrixFactorizationProblem(rows, cols, vals, 6, 5, 2, ridge=0.01)
     return [ls, lo, mlp, mf]
-
-
-def traced_peak(fn):
-    """(bytes traced at the peak of fn(), its result); numpy reports its
-    array buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        return tracemalloc.get_traced_memory()[1], out
-    finally:
-        tracemalloc.stop()
 
 
 class TestLeastSquares:

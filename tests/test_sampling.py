@@ -1,11 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sparsevr.sampling import (RngStream, _resolve_swaps, check_geom_lemma,
-                               draw_geometric_many, sample_batch)
+                               draw_geometric_many, geometric_ratio,
+                               sample_batch)
 
 
 def reference_subset(stream, n, size):
@@ -204,6 +206,26 @@ class TestGeometric:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
             draw_geometric_many(0.0, RngStream(3, 2), 1)
+
+    @pytest.mark.parametrize("m", [1e16, 10**16, math.inf, 10**400],
+                             ids=["1e16", "int-1e16", "inf", "int-1e400"])
+    def test_rejects_a_mean_whose_ratio_rounds_to_one(self, m):
+        # m/(m+1) = 1 would make every draw log(u)/0, cast to int64's
+        # minimum with a RuntimeWarning; the check raises before any draw.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rounds to 1"):
+                geometric_ratio(m)
+            with pytest.raises(ValueError, match="rounds to 1"):
+                draw_geometric_many(m, RngStream(1, 2), 3)
+
+    @pytest.mark.parametrize("m", [0.5, 1, 6.0, 10**6, 2**52, 9e15])
+    def test_accepted_means_draw_the_inverse_cdf_bits(self, m):
+        u = 1.0 - RngStream(5, 2).random(1000)
+        want = np.floor(np.log(u) / math.log(m / (m + 1.0))).astype(np.int64)
+        draws = draw_geometric_many(m, RngStream(5, 2), 1000)
+        assert draws.min() >= 0
+        np.testing.assert_array_equal(draws, want)
 
     def test_sample_mean_near_m(self):
         draws = draw_geometric_many(10.0, RngStream(3, 2), 1_000_000)
