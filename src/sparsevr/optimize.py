@@ -2,48 +2,15 @@
 
 One SpiderBoost loop serves both the sparse method and the dense
 baseline.  It keeps a variance-reduction direction nu, refreshed by a
-size-B snapshot gradient at the top of every outer loop and corrected at
-every inner step by a sparsified small-batch gradient difference.  The
-sparsification support (top-k1 scored by the memory vector, plus k2
-random slots, split across the problem's parameter blocks) is drawn
-before any gradient work, so both restricted gradient evaluations return
-only the selected coordinates and the query meter charges 2*b*(k1+k2)/d
-per inner step.  The correction is `rtop` applied block by block: the
-loop draws each block's support with `draw_support` and weights the slots
-with `slot_scale`, the two pieces `rtop` itself is built from.  The
-restricted oracle is each problem's one gradient kernel read at the
-selected coordinates (see `problems`): it still runs the dense kernel (for
-the network, the dense backprop) and gathers from it, so the k/d saving
-is in the meter, not in its wall-clock.
-Each block's top-k1 selection scans only the memory entries not below the
-smallest one at its previous selection (see `draw_support`).  The inner
-step runs the algorithm only: criterion 09 (`checks`) checks from outside
-the loop that each restricted result equals the dense gradient at its
-coordinates.  The dense baseline is the same loop at k1+k2 = d, where
-every block is the identity and the step uses the dense batch gradient.
-The memory vector exists only to score the top-k1 slots, so the identity
-path keeps none: no memory, no EMA and no entropy (its rows report None),
-and a capture probe, which scores by memory, is a config error there.  The
-memory starts as |nu| of the first snapshot, so every gradient pass the
-loop makes is metered.
-
-The d-vectors each sparse inner step derives from nu, the step eta_t*nu
-and the memory increment alpha*|nu|, are kept next to nu.  They are built
-in full after each snapshot and, for the step, whenever eta_t differs from
-the value it was built with; otherwise a sparse step rewrites them at its
-k coordinates only, right after it updates nu there.  The identity path,
-where nu changes everywhere, rebuilds the step only.  Each entry gets the
-same IEEE operations as when both are formed from nu afresh, so the step
-costs one pass over d (`x - step`) and the EMA two.
-
-A snapshot replaces nu, so the loop drops the outgoing nu before the
-snapshot pass, and the outgoing and the new nu are never alive together:
-the pass starts with x, the step and, on the sparse path, the memory and
-its increment.  The step and the increment stay allocated across the
-pass, since the loop rewrites them in place right after it: freeing
-either one as well, and allocating it again after the pass, raised
-mlp-wide's peak RSS above that of dropping nu alone, because the new
-buffer lands elsewhere in glibc's heap.
+size-B snapshot gradient at the top of every outer loop; at every inner
+step an operator adds its correction, made from a small-batch gradient
+difference, to nu.  The loop picks the operator once: `_Identity` at
+k1+k2 = d, which adds the dense difference (SpiderBoost), and
+`_RandomTopK` otherwise (`rtop`, scored by an EMA memory of |nu|).  The
+loop itself keeps only the batch stream, x, nu, the step eta_t*nu, the
+meter and the diagnostics.  An inner step is metered at 2*b*(k1+k2)/d
+units; criterion 09 (`checks`) checks from outside the loop that each
+restricted gradient equals the dense one at its coordinates.
 
 Diagnostics take one data pass per outer loop (and per SGD checkpoint):
 the fused `loss_grad_batch` when a gradient norm is recorded or targeted,
@@ -75,7 +42,8 @@ from .problems import FiniteSumProblem, ProblemConstants
 from .sampling import (STREAM_BATCH, STREAM_CAPTURE, STREAM_GEOM,
                        STREAM_OPERATOR, STREAM_OUTPUT, RngStream,
                        draw_geometric_many, geometric_ratio, sample_batch)
-from .sparsity import SparsityParams, draw_support, select_top_k1, slot_scale
+from .sparsity import (SparsityParams, _check_counts, draw_support,
+                       select_top_k1, slot_scale)
 from .vecops import as_vector
 
 log = logging.getLogger("sparsevr")
@@ -132,6 +100,7 @@ class RunConfig:
     def __post_init__(self):
         d, n = self.problem.d, self.problem.n
         _check_step("eta", self.eta)
+        _check_counts(m=self.m, T=self.T, B=self.B, b=self.b)
         if self.m < 1 or self.T < 1:
             raise ValueError("m and T must be at least 1")
         if self.B < 1 or self.b < 1:
@@ -175,6 +144,7 @@ class SgdConfig:
 
     def __post_init__(self):
         _check_step("eta", self.eta)
+        _check_counts(b=self.b, steps=self.steps, record_every=self.record_every)
         if not 1 <= self.b <= self.problem.n:
             raise ValueError("need 1 <= b <= n")
         if self.steps < 1:
@@ -345,23 +315,93 @@ def _abort(record: RunRecord, ab: _Aborted) -> None:
                 ab.reason)
 
 
-def _spider_loop(cfg: RunConfig, algorithm: str):
-    """The SpiderBoost outer/inner loop with operator budget (k1, k2).
+class _Identity:
+    """The operator at k1+k2 = d: the correction is the dense batch
+    difference, so the loop is SpiderBoost.  The memory only scores top-k1
+    slots, so there is none here: no EMA, no entropy (rows report None),
+    and a capture probe, which scores by memory, is a config error."""
 
-    The operator is one (offset, SparsityParams) block per parameter block
-    of the problem, or a single (0, d) block.  At k1+k2 = d every block is
-    the identity: the inner step uses the dense batch gradient and the loop
-    keeps no operator state and no memory.  Each block's `draw_support` call
-    stays here, under the name this module imports, so perfbench's tracer,
-    which wraps that name, sees one call per block.
+    def start(self, nu: np.ndarray) -> None:
+        pass
+
+    def correct(self, prob, i_t, x_new, x, nu: np.ndarray) -> None:
+        nu += prob.grad_batch(i_t, x_new) - prob.grad_batch(i_t, x)
+        return None   # nu changed everywhere
+
+    def entropy(self) -> None:
+        return None
+
+
+class _RandomTopK:
+    """`rtop` block by block, one (offset, SparsityParams) per parameter
+    block (or a single (0, d) block), scored by an EMA memory of |nu| that
+    starts as |nu| of the first snapshot.
+
+    A step draws each block's support with `draw_support` and weights its
+    slots with `slot_scale`, as `rtop` does, before any gradient work, so
+    both restricted gradients return only those coordinates.  The
+    restricted oracle still runs the dense kernel and gathers from it (see
+    `problems`): the k/d saving is in the meter, not in wall-clock.
+    `draw_support`, `_ema_step` and `entropy_bits` are called through this
+    module's names, which perfbench's tracer wraps.
+
+    The increment alpha*|nu|, like the loop's step eta_t*nu, is built in full
+    after each snapshot, then rewritten at the changed coordinates only,
+    with the IEEE operations of forming it afresh.  No reference to nu is
+    kept, so a snapshot pass starts with x, the step, the memory and the
+    increment.  Freeing the step or the increment before the pass, and
+    allocating it again after, raised mlp-wide's peak RSS (glibc's heap).
     """
+
+    def __init__(self, cfg: RunConfig):
+        self.blocks = _operator_blocks(cfg)
+        self.scales = slot_scale(p for _, p in self.blocks)  # [top, rand] order
+        self.tops = [None] * len(self.blocks)  # bound the next selections
+        self.rng = RngStream(cfg.seed, STREAM_OPERATOR)
+        self.alpha = cfg.alpha
+        self.memory = None
+        self.increment = np.empty(cfg.problem.d)
+
+    def start(self, nu: np.ndarray) -> None:
+        if self.memory is None:
+            self.memory = np.abs(nu)
+        np.multiply(np.abs(nu, out=self.increment), self.alpha, out=self.increment)
+
+    def correct(self, prob, i_t, x_new, x, nu: np.ndarray) -> np.ndarray:
+        parts = []
+        for i, (lo, p) in enumerate(self.blocks):
+            top, rand = draw_support(self.memory[lo:lo + p.d], p, self.rng,
+                                     self.tops[i])
+            self.tops[i] = top
+            parts += [lo + top, lo + rand]
+        coords = np.concatenate(parts)
+        diff = (prob.grad_batch_restricted(i_t, x_new, coords)
+                - prob.grad_batch_restricted(i_t, x, coords))
+        nu[coords] += self.scales * diff
+        self.increment[coords] = self.alpha * np.abs(nu[coords])
+        _ema_step(self.memory, self.increment, self.alpha)
+        return coords
+
+    def entropy(self) -> float | None:
+        return entropy_bits(self.memory) if self.memory.sum() > 0 else None
+
+    def top_set(self) -> np.ndarray:
+        """The top-k1 set the next step selects, block by block."""
+        return np.concatenate([lo + select_top_k1(self.memory[lo:lo + p.d], p.k1)
+                               for lo, p in self.blocks])
+
+
+def _spider_loop(cfg: RunConfig, algorithm: str):
+    """The SpiderBoost outer/inner loop with operator budget (k1, k2): the
+    identity operator at k1+k2 = d, random-top-k otherwise.  The outgoing
+    nu is dropped before each snapshot pass, so it and the nu that replaces
+    it are never alive together."""
     prob = cfg.problem
     n, d = prob.n, prob.d
     snap = min(cfg.B, n)
 
     batch_rng = RngStream(cfg.seed, STREAM_BATCH)
     geom_rng = RngStream(cfg.seed, STREAM_GEOM)
-    op_rng = RngStream(cfg.seed, STREAM_OPERATOR)
     out_rng = RngStream(cfg.seed, STREAM_OUTPUT)
     capture_rng = RngStream(cfg.seed, STREAM_CAPTURE)
 
@@ -371,19 +411,10 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
     meter = record.meter
 
     k = cfg.k1 + cfg.k2
-    identity = k == d
+    op = _Identity() if k == d else _RandomTopK(cfg)
     want_norm = cfg.record_grad_norm or cfg.target_grad_norm is not None
     out_index = out_rng.integers(1, cfg.T + 1) if cfg.theory else None
     x_stash = None
-
-    if not identity:
-        blocks = _operator_blocks(cfg)
-        # Per-slot factor in the [top, rand] order of `coords` below.
-        scales = slot_scale(p for _, p in blocks)
-        # Each block's last top-k1 selection; it bounds the next one from below.
-        tops = [None] * len(blocks)
-        increment = np.empty(d)
-    # eta_t*nu, kept in step with nu like alpha*|nu| (see the module docstring);
     # step_eta is the eta that `step` holds, None when it is stale.
     step, step_eta = np.empty(d), None
 
@@ -394,10 +425,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
             nu = None  # the stale direction goes before the pass replaces it
             nu = prob.grad_batch(i_snap, x)
             step_eta = None
-            if not identity:
-                if j == 1:  # the memory starts as |nu| of the first snapshot
-                    memory = np.abs(nu)
-                np.multiply(np.abs(nu, out=increment), cfg.alpha, out=increment)
+            op.start(nu)
             meter.charge_snapshot(cfg.B, n)
             n_j = (int(draw_geometric_many(cfg.m, geom_rng, 1)[0])
                    if cfg.theory else cfg.m)
@@ -410,25 +438,11 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 x_new = x - step
                 _guard_finite(x_new)
                 i_t = sample_batch(n, cfg.b, batch_rng)
-
-                if identity:
-                    nu += prob.grad_batch(i_t, x_new) - prob.grad_batch(i_t, x)
+                changed = op.correct(prob, i_t, x_new, x, nu)
+                if changed is None:
                     step_eta = None
                 else:
-                    parts = []
-                    for i, (lo, p) in enumerate(blocks):
-                        top, rand = draw_support(memory[lo:lo + p.d], p,
-                                                 op_rng, tops[i])
-                        tops[i] = top
-                        parts += [lo + top, lo + rand]
-                    coords = np.concatenate(parts)
-                    diff = (prob.grad_batch_restricted(i_t, x_new, coords)
-                            - prob.grad_batch_restricted(i_t, x, coords))
-                    nu[coords] += scales * diff
-                    nu_k = nu[coords]
-                    step[coords] = step_eta * nu_k
-                    increment[coords] = cfg.alpha * np.abs(nu_k)
-                    _ema_step(memory, increment, cfg.alpha)
+                    step[changed] = step_eta * nu[changed]
                 meter.charge_inner(cfg.b, k, d)
                 x = x_new
 
@@ -436,17 +450,12 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
             diag_tic = time.perf_counter()
             loss, grad_norm, grad = _loss_and_norm(prob, x, want_norm,
                                                    loss_ceiling, f"outer loop {j}")
-            ent = entropy_bits(memory) if not identity and memory.sum() > 0 else None
+            ent = op.entropy()
 
             g_val = big_g_val = r_val = None
             if cfg.record_capture:
-                # the top-k1 set the next step selects, block by block
-                top = np.concatenate([lo + select_top_k1(memory[lo:lo + p.d],
-                                                         p.k1)
-                                      for lo, p in blocks])
-                x_virtual = x - _inner_eta(cfg, n_j) * nu
-                cap = measure_g_G(prob, top, x_virtual, x, cfg.b,
-                                  rng=capture_rng, grad_prev=grad)
+                cap = measure_g_G(prob, op.top_set(), x - _inner_eta(cfg, n_j) * nu,
+                                  x, cfg.b, rng=capture_rng, grad_prev=grad)
                 g_val, big_g_val, r_val = cap.g, cap.G, cap.R
 
             toc = time.perf_counter()
@@ -455,6 +464,7 @@ def _spider_loop(cfg: RunConfig, algorithm: str):
                 units=float(meter.units), entropy=ent,
                 wall_ms=(toc - tic) * 1e3,
                 diag_ms=(toc - diag_tic) * 1e3, g=g_val, G=big_g_val, R=r_val))
+            grad = None  # not held through the next outer loop
             if record.iterates is not None:
                 record.iterates.append(x.copy())
             if out_index is not None and j == out_index:
@@ -485,10 +495,10 @@ def run_sparse_spiderboost(cfg: RunConfig):
 
 
 def run_spiderboost_dense(cfg: RunConfig):
-    """The same loop with the identity operator (k1=0, k2=d); the k1 and k2
-    of `cfg` are ignored.  Inner steps cost the full 2b units.  SpiderBoost
-    has no memory vector, so rows report no entropy and `record_capture` is
-    rejected."""
+    """The same loop run with the identity operator, `_Identity` (k1=0,
+    k2=d); the k1 and k2 of `cfg` are ignored.  Inner steps cost the full 2b
+    units.  SpiderBoost has no memory vector, so rows report no entropy and
+    `record_capture` is rejected."""
     return _spider_loop(replace(cfg, k1=0, k2=cfg.problem.d), "spiderboost")
 
 
@@ -550,6 +560,7 @@ class HyperparamInputs:
         if not 0 < self.epsilon * self.epsilon < math.inf:
             raise ValueError(f"epsilon={self.epsilon:g}: its square "
                              "underflows to 0 or overflows")
+        _check_counts(b=self.b, n=self.n)
         if self.b < 1 or self.d < 1 or self.n < 1:
             raise ValueError("b, d, n must be positive")
         SparsityParams(self.k1, self.k2, self.d)  # the sparsity budget

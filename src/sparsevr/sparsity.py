@@ -18,6 +18,7 @@ closed-form variance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -30,6 +31,13 @@ from .vecops import as_vector
 ENUMERATION_GUARD = 10**6
 
 
+def _check_counts(**counts) -> None:
+    """ValueError unless each value is None or an integer, not a bool."""
+    for name, v in counts.items():
+        if isinstance(v, bool) or not isinstance(v, (numbers.Integral, type(None))):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SparsityParams:
     """Operator sizes: k1 scored slots, k2 random slots, dimension d."""
@@ -39,6 +47,7 @@ class SparsityParams:
     d: int
 
     def __post_init__(self):
+        _check_counts(k1=self.k1, k2=self.k2, d=self.d)
         if self.d < 1:
             raise ValueError("d must be positive")
         if self.k1 < 0 or self.k2 < 0:

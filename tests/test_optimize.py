@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from sparsevr.diagnostics import estimate_estimator_variance, measure_g_G
+from sparsevr.diagnostics import (entropy_bits, estimate_estimator_variance,
+                                  measure_g_G)
 from sparsevr.optimize import (HyperparamInputs, RunConfig, SgdConfig,
                                allocate_block_sparsity,
                                data_adaptive_hyperparams, run_sgd,
@@ -91,6 +92,14 @@ class TestHyperparamRules:
             HyperparamInputs(epsilon=0.1, constants=self._consts(),
                              b=10, k1=5, k2=0, d=100, n=100)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k1", 5.5), ("d", 100.0), ("b", 2.5), ("b", True), ("n", 150.5)])
+    def test_rejects_non_integer_counts(self, field, value):
+        kw = dict(epsilon=0.1, constants=self._consts(), b=10, k1=5, k2=5,
+                  d=100, n=10_000)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            HyperparamInputs(**{**kw, field: value})
+
     def test_rejects_an_empty_budget_when_built(self):
         with pytest.raises(ValueError, match="k1 \\+ k2"):
             HyperparamInputs(epsilon=0.1, constants=self._consts(),
@@ -143,6 +152,24 @@ class TestRunConfigValidation:
         cfg = RunConfig(problem=prob, eta=0.1, m=1, T=1, B=4, b=2, k1=0, k2=4)
         with pytest.raises(ValueError, match=field):
             replace(cfg, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 2.5), ("T", 2.5), ("B", 20.5), ("b", 4.5), ("k1", 1.5),
+        ("k2", 2.5), ("m", True), ("T", np.float64(2.0))])
+    def test_rejects_non_integer_counts(self, field, value):
+        a, b, _ = gen_gaussian_ls(30, 6, seed=12)
+        cfg = dict(problem=LeastSquaresProblem(a, b), eta=0.1, m=2, T=2, B=24,
+                   b=4, k1=1, k2=2)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig(**{**cfg, field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        a, b, _ = gen_gaussian_ls(30, 6, seed=12)
+        cfg = RunConfig(problem=LeastSquaresProblem(a, b), eta=0.1,
+                        m=np.int64(2), T=np.int32(2), B=np.int64(24),
+                        b=np.int64(4), k1=np.int64(1), k2=np.int16(2))
+        _, record = run_sparse_spiderboost(cfg)
+        assert record.inner_lengths() == [2, 2] and not record.aborted
 
     def test_rejects_capture_at_the_identity(self):
         # The identity keeps no memory to score a top-k1 set with.
@@ -334,6 +361,33 @@ class TestTheoryMode:
             assert matches
             hits.add(matches[0])
         assert len(hits) > 1  # draws actually vary over seeds
+
+    def test_memory_starts_at_the_first_snapshot_before_empty_loops(
+            self, monkeypatch):
+        # The first two Geom(1) inner loops are empty, so the memory is
+        # still |nu_1| at rows 1 and 2 and at the first draw of loop 3.
+        a, b, _ = gen_gaussian_ls(30, 6, seed=12)
+        prob = LeastSquaresProblem(a, b)
+        cfg = RunConfig(problem=prob, eta=0.1, m=1, T=3, B=8, b=2, k1=1,
+                        k2=1, theory=True, seed=7, record_grad_norm=False)
+        snapshots, scored = [], []
+        real_grad, real_draw = prob.grad_batch, optimize.draw_support
+
+        def grad(idx, x):   # the inner steps use the restricted oracle
+            snapshots.append(real_grad(idx, x))
+            return snapshots[-1]
+
+        def draw(block, p, rng, prev_top):
+            scored.append(block.copy())
+            return real_draw(block, p, rng, prev_top)
+
+        monkeypatch.setattr(prob, "grad_batch", grad)
+        monkeypatch.setattr(optimize, "draw_support", draw)
+        _, record = run_sparse_spiderboost(cfg)
+        assert record.inner_lengths() == [0, 0, 2]
+        memory = np.abs(snapshots[0])
+        assert [r.entropy for r in record.rows[:2]] == [entropy_bits(memory)] * 2
+        assert same_bits(scored[0], memory)
 
     def test_zero_length_inner_loop_is_legal(self):
         # geometric draws hit N_j = 0 regularly at small m
@@ -631,20 +685,23 @@ class TestIdentityKeepsNoMemory:
 
 
 class TestSnapshotWorkingSet:
-    """A snapshot pass starts without the direction it replaces: at its
+    """A snapshot pass starts without the direction it replaces, and
+    without the diagnostics' full gradient of the outer loop before: at its
     entry the loop holds x, the step and, on the sparse path, the memory
     and its increment, and no fifth d-vector."""
 
-    @pytest.mark.parametrize("runner, held", [
-        (run_sparse_spiderboost, 4), (run_spiderboost_dense, 2)],
-        ids=["sparse", "dense"])
-    def test_held_d_vectors_at_each_snapshot(self, monkeypatch, runner, held):
+    @pytest.mark.parametrize("runner, held, record_grad_norm", [
+        (run_sparse_spiderboost, 4, False), (run_spiderboost_dense, 2, False),
+        (run_sparse_spiderboost, 4, True), (run_spiderboost_dense, 2, True)],
+        ids=["sparse", "dense", "sparse-grad-norm", "dense-grad-norm"])
+    def test_held_d_vectors_at_each_snapshot(self, monkeypatch, runner, held,
+                                             record_grad_norm):
         xs, labels = gen_class_blobs(40, 200, 8, seed=5)
         prob = MLPProblem([200, 96, 8], xs, labels)   # d = 20,072
         cfg = RunConfig(problem=prob, eta=0.05, m=3, T=3, B=prob.n, b=4,
                         k1=100, k2=100, seed=2,
                         x0=0.1 * np.random.default_rng(9).standard_normal(prob.d),
-                        record_grad_norm=False)
+                        record_grad_norm=record_grad_norm)
         entry_bytes, real_grad = [], prob.grad_batch
 
         def grad(idx, x):
@@ -948,6 +1005,15 @@ class TestSgd:
         kw = dict(eta=0.3, b=2, steps=4, problem=quadratic_problem(), seed=0)
         with pytest.raises(ValueError):
             SgdConfig(**{**kw, **bad})
+
+    @pytest.mark.parametrize("field, value", [
+        ("b", 4.5), ("steps", 3.5), ("record_every", 2.5), ("steps", True),
+        ("record_every", True)])
+    def test_rejects_non_integer_counts(self, field, value):
+        a, b, _ = gen_gaussian_ls(30, 6, seed=12)
+        kw = dict(problem=LeastSquaresProblem(a, b), eta=0.1, b=4, steps=6)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SgdConfig(**{**kw, field: value})
 
     @pytest.mark.parametrize("record_every", [0, -2])
     def test_rejects_record_every_below_one_before_the_first_step(

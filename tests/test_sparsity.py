@@ -25,6 +25,7 @@ class TestSparsityParams:
         SparsityParams(1, 1, 5)
         SparsityParams(0, 3, 3)
         SparsityParams(4, 0, 4)  # identity degenerate
+        SparsityParams(np.int64(1), np.int32(2), np.int64(6))
 
     def test_rejects_zero_k(self):
         with pytest.raises(ValueError):
@@ -37,6 +38,12 @@ class TestSparsityParams:
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             SparsityParams(3, 3, 5)
+
+    @pytest.mark.parametrize("sizes", [
+        (1.5, 2, 6), (1, 2.5, 6), (1, 2, 6.0), (True, 2, 6), (1, np.True_, 6)])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SparsityParams(*sizes)
 
     def test_scale_is_exactly_one_when_full(self):
         assert SparsityParams(2, 3, 5).scale == 1.0
